@@ -2,8 +2,8 @@
 # ci.sh — the repo's test tiers.
 #
 #   tier 1 (default):  go vet + build + full test suite (shuffled)
-#                      (+ staticcheck when installed, + the parallel-
-#                      routing and parallel-placement determinism
+#                      (+ staticcheck when installed, + the routing,
+#                      placement and rendered-output determinism
 #                      batteries under -race, + the golden-corpus
 #                      check, + a coverage floor on the placement
 #                      packages, + 5s fuzz smoke of the Appendix-A
@@ -53,15 +53,18 @@ go build ./...
 echo "== go test ${RACE} -shuffle=on ./..."
 go test ${RACE} -shuffle=on ./...
 
-# Determinism batteries under the race detector: the parallel routing
-# AND parallel placement schedulers must be data-race-free AND
-# byte-identical to their sequential twins (segments, plane cells,
-# stats, placement fingerprints, ASCII, SVG). Tier 2's full -race pass
-# above already covers them; tier 1 runs just the batteries with
-# -race -short so every default CI run still proves the contract.
+# Determinism batteries under the race detector: placement, routing
+# and the rendered pipeline run concurrently on separate goroutines (as
+# netartd's worker pool runs requests) must be data-race-free AND
+# byte-identical to a sequential run (segments, plane cells, stats,
+# placement fingerprints, ASCII, SVG), windowed searches must match
+# the full-plane reference, and the router's search counters must
+# match their pins. Tier 2's full -race pass above already covers
+# them; tier 1 runs just the batteries with -race -short so every
+# default CI run still proves the contract.
 if [ -z "${RACE}" ]; then
-	echo "== determinism batteries: go test -race -short -run 'Parallel|Rendered' ./internal/route ./internal/gen ./internal/place"
-	go test -race -short -run 'Parallel|Rendered' ./internal/route ./internal/gen ./internal/place
+	echo "== determinism batteries: go test -race -short -run 'Parallel|Rendered|WindowedMatchesFull|SearchStatsPinned' ./internal/route ./internal/gen ./internal/place"
+	go test -race -short -run 'Parallel|Rendered|WindowedMatchesFull|SearchStatsPinned' ./internal/route ./internal/gen ./internal/place
 fi
 
 # Golden corpus: the pinned ASCII/SVG artwork of every built-in
@@ -157,10 +160,10 @@ go test -run TestAPISurface ./internal/service
 # Pipeline latency record: cold (full pipeline) and warm (cache hit)
 # generate latencies per built-in workload, as machine-readable JSON.
 # The -gate flag compares the fresh numbers against the committed
-# record before overwriting it: a cold route stage more than 20% over
-# the committed route_budget_ms (in practice: the life workload; the
-# sub-millisecond workloads are noise-exempt) fails the build, as does
-# parallel_speedup < 1.0 on hosts with 4+ CPUs.
+# record before overwriting it: a best route stage (cold run or one of
+# two uncached repeats) more than 20% over the committed
+# route_budget_ms (in practice: the life workload; the sub-millisecond
+# workloads are noise-exempt) fails the build.
 echo "== go run ./cmd/benchpipe -gate BENCH_pipeline.json -out BENCH_pipeline.json"
 go run ./cmd/benchpipe -gate BENCH_pipeline.json -out BENCH_pipeline.json
 

@@ -12,16 +12,6 @@
 // this as `go run ./cmd/benchpipe -out BENCH_pipeline.json` so every
 // build leaves a machine-readable latency record next to the binaries.
 //
-// A route-workers sweep rides along: each workload's route stage is
-// re-run (cache off) at every worker count in -route-workers, and the
-// per-workload parallel_speedup field reports sequential route time
-// over the best parallel route time. A matching place-workers sweep
-// does the same for the placement stage (-place-workers, place_sweep,
-// place_parallel_speedup). The record carries cpus and gomaxprocs so
-// a speedup of ~1.0 on a single-core runner reads as the hardware
-// fact it is, not a scheduler defect — the determinism batteries, not
-// this bench, are the parallel stages' correctness gates.
-//
 // With -service the bench targets the daemon tier instead: store
 // cold/warm tail latency over a tiered disk-backed store, restart
 // survival (hit rate and artwork identity across a stop/start over
@@ -33,11 +23,10 @@
 // BENCH_service.json.
 //
 // Each workload also records route_budget_ms — 1.2x its best observed
-// sequential route time (cold stage or workers<=1 sweep point). With
-// -gate FILE the run loads the committed bench record first and fails
-// (after writing -out) when its own best route time exceeds the
-// committed budget, or when parallel_speedup falls below
-// 1.0 on a host with 4+ CPUs; CI runs
+// route time (cold stage or one of two uncached repeats). With -gate
+// FILE the run loads the committed bench record first and fails (after
+// writing -out) when its own best route time exceeds the committed
+// budget; CI runs
 // `benchpipe -gate BENCH_pipeline.json -out BENCH_pipeline.json` so a
 // >20% route-stage regression against the committed record fails the
 // build.
@@ -45,8 +34,7 @@
 // Usage:
 //
 //	benchpipe [-out BENCH_pipeline.json] [-workloads fig61,datapath,life]
-//	          [-warm-runs 5] [-route-workers 1,2,4,N] [-place-workers 1,2,4,N]
-//	          [-gate BENCH_pipeline.json]
+//	          [-warm-runs 5] [-gate BENCH_pipeline.json]
 //	benchpipe -service [-out BENCH_service.json] [-workloads fig61,quickstart]
 package main
 
@@ -57,7 +45,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
@@ -79,45 +66,21 @@ type workloadResult struct {
 	// Speedup is ColdMs / WarmMs (0 when WarmMs is 0).
 	Speedup  float64 `json:"speedup"`
 	Unrouted int     `json:"unrouted"`
-	// RouteSweep is the route-stage latency at each -route-workers
-	// value (cache bypassed; best of two runs per point).
-	RouteSweep []routeSweepPoint `json:"route_sweep,omitempty"`
-	// ParallelSpeedup is the sequential route_ms over the best
-	// parallel route_ms in the sweep (0 when the sweep has no
-	// parallel points). On a single-core host this hovers around 1.0
-	// regardless of worker count — see cpus/gomaxprocs at the top
-	// level.
-	ParallelSpeedup float64 `json:"parallel_speedup,omitempty"`
+	// RepeatRouteMs is the best route stage of two uncached repeats of
+	// the cold request.
+	RepeatRouteMs float64 `json:"repeat_route_ms,omitempty"`
 	// RouteBudgetMs is the regression budget for this workload's route
 	// stage: 1.2x the best observed sequential route time (20% headroom
 	// over the committed number). The -gate flag of a later run compares
 	// its own best observation against the committed file's budget.
 	RouteBudgetMs float64 `json:"route_budget_ms,omitempty"`
-	// PlaceSweep is the place-stage latency at each -place-workers
-	// value (cache bypassed; best of two runs per point), and
-	// PlaceParallelSpeedup the sequential place_ms over the best
-	// parallel place_ms — the placement twin of the route sweep.
-	PlaceSweep           []placeSweepPoint `json:"place_sweep,omitempty"`
-	PlaceParallelSpeedup float64           `json:"place_parallel_speedup,omitempty"`
-}
-
-// routeSweepPoint is one (worker count, route latency) sample.
-type routeSweepPoint struct {
-	Workers int     `json:"workers"`
-	RouteMs float64 `json:"route_ms"`
-}
-
-// placeSweepPoint is one (worker count, place latency) sample.
-type placeSweepPoint struct {
-	Workers int     `json:"workers"`
-	PlaceMs float64 `json:"place_ms"`
 }
 
 // benchFile is the top-level shape of BENCH_pipeline.json.
 type benchFile struct {
 	GeneratedAt string `json:"generated_at"`
 	// CPUs and GoMaxProcs describe the hardware the numbers were
-	// taken on; parallel_speedup is meaningless without them.
+	// taken on.
 	CPUs       int              `json:"cpus"`
 	GoMaxProcs int              `json:"gomaxprocs"`
 	Results    []workloadResult `json:"results"`
@@ -130,45 +93,14 @@ func main() {
 	}
 }
 
-// parseSweep expands a -route-workers/-place-workers spec into a
-// deduplicated list of worker counts; "N" means GOMAXPROCS. flagName
-// is only used for error messages.
-func parseSweep(flagName, spec string) ([]int, error) {
-	var out []int
-	seen := map[int]bool{}
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n := runtime.GOMAXPROCS(0)
-		if part != "N" && part != "n" {
-			v, err := strconv.Atoi(part)
-			if err != nil || v < 1 {
-				return nil, fmt.Errorf("bad %s entry %q", flagName, part)
-			}
-			n = v
-		}
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
-	}
-	return out, nil
-}
-
 func run() error {
 	out := flag.String("out", "", "output file (- for stdout; default BENCH_pipeline.json, or BENCH_service.json with -service)")
 	workloads := flag.String("workloads", "fig61,datapath,life", "comma-separated built-in workloads")
 	warmRuns := flag.Int("warm-runs", 5, "cache-hit repeats per workload (best is reported)")
-	sweepSpec := flag.String("route-workers", "1,2,4,N",
-		"comma-separated route-worker counts for the sweep (N = GOMAXPROCS; empty disables)")
-	placeSpec := flag.String("place-workers", "1,2,4,N",
-		"comma-separated place-worker counts for the sweep (N = GOMAXPROCS; empty disables)")
 	serviceMode := flag.Bool("service", false,
 		"benchmark the service tier instead (store cold/warm tails, restart survival, singleflight stampede, 3-replica fleet)")
 	gate := flag.String("gate", "",
-		"committed bench file to gate against: fail when a workload's fresh cold route_ms exceeds the committed route_budget_ms, or when parallel_speedup drops below 1.0 on a 4+ CPU host")
+		"committed bench file to gate against: fail when a workload's fresh best route_ms exceeds the committed route_budget_ms")
 	flag.Parse()
 
 	if *serviceMode {
@@ -196,22 +128,11 @@ func run() error {
 		}
 	}
 
-	sweep, err := parseSweep("-route-workers", *sweepSpec)
-	if err != nil {
-		return err
-	}
-	placeSweep, err := parseSweep("-place-workers", *placeSpec)
-	if err != nil {
-		return err
-	}
-
 	srv := service.New(service.Config{Workers: 1, CacheEntries: 64})
 	defer srv.Close()
-	// The sweep server has no cache: route_workers is deliberately
-	// excluded from the cache key (parallel output is byte-identical),
-	// so sweep points after the first would otherwise be cache hits.
-	sweepSrv := service.New(service.Config{Workers: 1, CacheEntries: 0})
-	defer sweepSrv.Close()
+	// The repeat server has no cache, so its repeats rerun the pipeline.
+	repeatSrv := service.New(service.Config{Workers: 1, CacheEntries: 0})
+	defer repeatSrv.Close()
 	ctx := context.Background()
 
 	file := benchFile{
@@ -261,68 +182,23 @@ func run() error {
 			res.Speedup = res.ColdMs / res.WarmMs
 		}
 
-		// Route-workers sweep: same request, cache off, each worker
-		// count best-of-two. Only the route stage is compared — parse,
-		// place and render are identical work at every point.
-		var seqMs, bestParMs float64
-		for _, workers := range sweep {
-			sreq := req
-			sreq.Options.RouteWorkers = workers
-			var best float64
-			for rep := 0; rep < 2; rep++ {
-				r, err := sweepSrv.GenerateV2(ctx, &sreq)
-				if err != nil {
-					return fmt.Errorf("workload %s (sweep workers=%d): %w", w, workers, err)
-				}
-				ms := float64(r.Report.Timings.Route) / float64(time.Millisecond)
-				if rep == 0 || ms < best {
-					best = ms
-				}
+		// Uncached repeats: the gate compares the best route stage, since
+		// one cold measurement swings ±30% on a busy runner.
+		for rep := 0; rep < 2; rep++ {
+			r, err := repeatSrv.GenerateV2(ctx, &req)
+			if err != nil {
+				return fmt.Errorf("workload %s (repeat %d): %w", w, rep, err)
 			}
-			res.RouteSweep = append(res.RouteSweep, routeSweepPoint{Workers: workers, RouteMs: best})
-			if workers <= 1 {
-				seqMs = best
-			} else if bestParMs == 0 || best < bestParMs {
-				bestParMs = best
+			ms := durMs(r.Report.Timings.Route)
+			if rep == 0 || ms < res.RepeatRouteMs {
+				res.RepeatRouteMs = ms
 			}
-		}
-		if seqMs > 0 && bestParMs > 0 {
-			res.ParallelSpeedup = seqMs / bestParMs
-		}
-
-		// Place-workers sweep: identical shape, comparing only the
-		// place stage. route_workers is left at the request default so
-		// the placement delta is the only variable.
-		var seqPlaceMs, bestParPlaceMs float64
-		for _, workers := range placeSweep {
-			sreq := req
-			sreq.Options.PlaceWorkers = workers
-			var best float64
-			for rep := 0; rep < 2; rep++ {
-				r, err := sweepSrv.GenerateV2(ctx, &sreq)
-				if err != nil {
-					return fmt.Errorf("workload %s (place sweep workers=%d): %w", w, workers, err)
-				}
-				ms := float64(r.Report.Timings.Place) / float64(time.Millisecond)
-				if rep == 0 || ms < best {
-					best = ms
-				}
-			}
-			res.PlaceSweep = append(res.PlaceSweep, placeSweepPoint{Workers: workers, PlaceMs: best})
-			if workers <= 1 {
-				seqPlaceMs = best
-			} else if bestParPlaceMs == 0 || best < bestParPlaceMs {
-				bestParPlaceMs = best
-			}
-		}
-		if seqPlaceMs > 0 && bestParPlaceMs > 0 {
-			res.PlaceParallelSpeedup = seqPlaceMs / bestParPlaceMs
 		}
 		res.RouteBudgetMs = routeBudget(minRouteMs(res))
 
 		file.Results = append(file.Results, res)
-		fmt.Fprintf(os.Stderr, "benchpipe: %-10s cold %8.3fms  warm %8.3fms  (%.0fx)  par-route %.2fx  par-place %.2fx\n",
-			w, res.ColdMs, res.WarmMs, res.Speedup, res.ParallelSpeedup, res.PlaceParallelSpeedup)
+		fmt.Fprintf(os.Stderr, "benchpipe: %-10s cold %8.3fms  warm %8.3fms  (%.0fx)  best route %8.3fms\n",
+			w, res.ColdMs, res.WarmMs, res.Speedup, minRouteMs(res))
 	}
 
 	b, err := json.MarshalIndent(file, "", "  ")
@@ -355,17 +231,15 @@ const gateMinRouteMs = 50
 // time: 20% headroom over the committed number.
 func routeBudget(routeMs float64) float64 { return routeMs * 1.2 }
 
-// minRouteMs is a workload's best observed sequential route time: the
-// cold stage or any workers<=1 sweep point, whichever is lower. Both
-// budget and gate use this minimum — a single cold measurement swings
-// ±30% on a busy single-core runner, and gating noise against noise
-// would make the 20% band meaningless.
+// minRouteMs is a workload's best observed route time: the cold stage
+// or the best uncached repeat, whichever is lower. Both budget and gate
+// use this minimum — a single cold measurement swings ±30% on a busy
+// single-core runner, and gating noise against noise would make the
+// 20% band meaningless.
 func minRouteMs(r workloadResult) float64 {
 	ms := durMs(r.ColdStages.Route)
-	for _, p := range r.RouteSweep {
-		if p.Workers <= 1 && p.RouteMs > 0 && p.RouteMs < ms {
-			ms = p.RouteMs
-		}
+	if r.RepeatRouteMs > 0 && r.RepeatRouteMs < ms {
+		ms = r.RepeatRouteMs
 	}
 	return ms
 }
@@ -373,15 +247,10 @@ func minRouteMs(r workloadResult) float64 {
 func durMs(d time.Duration) float64 { return float64(d.Microseconds()) / 1000.0 }
 
 // gateAgainst compares the fresh results with the committed bench
-// record. Two checks per workload present in both files:
-//
-//   - the fresh cold route_ms must not exceed the committed budget
-//     (route_budget_ms, or 1.2x the committed route_ms for records
-//     that predate the budget field) — skipped for noise-dominated
-//     workloads under gateMinRouteMs;
-//   - parallel_speedup must stay >= 1.0, checked only on hosts with
-//     4+ CPUs (on smaller hosts the sweep measures scheduling
-//     overhead, not parallelism — see the cpus field).
+// record: for every workload present in both files, the fresh best
+// route_ms must not exceed the committed budget (route_budget_ms, or
+// 1.2x the committed route_ms for records that predate the budget
+// field) — skipped for noise-dominated workloads under gateMinRouteMs.
 func gateAgainst(committed *benchFile, fresh []workloadResult) error {
 	byName := map[string]workloadResult{}
 	for _, r := range fresh {
@@ -405,16 +274,11 @@ func gateAgainst(committed *benchFile, fresh []workloadResult) error {
 					c.Workload, got, budget, cms))
 			}
 		}
-		if runtime.NumCPU() >= 4 && r.ParallelSpeedup > 0 && r.ParallelSpeedup < 1.0 {
-			failures = append(failures, fmt.Sprintf(
-				"%s: parallel_speedup %.2f < 1.0 on a %d-CPU host",
-				c.Workload, r.ParallelSpeedup, runtime.NumCPU()))
-		}
 	}
 	if len(failures) > 0 {
 		return fmt.Errorf("gate against committed bench failed:\n  %s",
 			strings.Join(failures, "\n  "))
 	}
-	fmt.Fprintln(os.Stderr, "benchpipe: gate passed (route budgets held, parallel speedup ok)")
+	fmt.Fprintln(os.Stderr, "benchpipe: gate passed (route budgets held)")
 	return nil
 }

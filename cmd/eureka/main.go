@@ -12,7 +12,8 @@
 // (Appendix A). When call/io files are omitted, the network is rebuilt
 // from the graphic file's instances and contacts against the library.
 // Nets already drawn in the graphic file are kept as prerouted
-// obstacles; the router adds the missing connections.
+// obstacles; the router adds the missing connections. -route-window and
+// -route-workers are deprecated and ignored.
 package main
 
 import (
@@ -47,10 +48,9 @@ func run() error {
 	routeOrder := flag.String("route-order", "shortest",
 		"net routing order: shortest (default, §7 extension) or design (the paper's order)")
 	routeWindow := flag.String("route-window", "on",
-		"bounded routing search windows: on (default) or off (full-plane, results identical)")
+		"deprecated, ignored (searches are always windowed); on or off")
 	ripup := flag.Bool("ripup", false, "rip-up-and-reroute pass for failed nets (extension)")
-	routeWorkers := flag.Int("route-workers", 0,
-		"speculative routing workers (0/1 = sequential; results are byte-identical)")
+	flag.Int("route-workers", 0, "deprecated, ignored (routing is sequential)")
 	trace := flag.Bool("trace", false, "print the routing span tree to stderr")
 	out := flag.String("o", "", "output file (default stdout)")
 	name := flag.String("name", "", "design name (default: graphic file's tname)")
@@ -96,15 +96,13 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	noWindow, err := route.ParseWindow(*routeWindow)
-	if err != nil {
+	if err := route.ValidateWindow(*routeWindow); err != nil {
 		return err
 	}
 	ropts := route.Options{
 		Claimpoints:        !*noclaims,
 		SwapObjective:      *s,
 		OrderShortestFirst: shortest,
-		NoWindow:           noWindow,
 		RipUp:              *ripup,
 		Prerouted:          pre.PreroutedFor(dsn),
 	}
@@ -113,7 +111,7 @@ func run() error {
 	ropts.FixedBorder[geom.Right] = *r
 	ropts.FixedBorder[geom.Left] = *l
 
-	opts := gen.Options{Route: ropts, Placement: pr, RouteWorkers: *routeWorkers}
+	opts := gen.Options{Route: ropts, Placement: pr}
 	if *trace {
 		opts.Observer = obs.NewObserver(nil, "route")
 	}

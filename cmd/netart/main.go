@@ -11,8 +11,9 @@
 //
 // Render flags: -ascii (print a character rendering), -svg FILE,
 // -esc FILE (ESCHER diagram). Placement knobs match pablo (-p -b -c -e
-// -i -s); routing knobs match eureka (-swap, -noclaims, -route-order,
-// -route-window).
+// -i -s); routing knobs match eureka (-swap, -noclaims, -route-order).
+// -route-window, -route-workers and -place-workers are deprecated and
+// ignored.
 // -trace prints the per-stage span tree (wall time, outcome, stage
 // attributes such as partition counts and wavefront expansions) to
 // stderr after generation.
@@ -55,12 +56,10 @@ func run() error {
 	routeOrder := flag.String("route-order", "shortest",
 		"net routing order: shortest (default, §7 extension) or design (the paper's order)")
 	routeWindow := flag.String("route-window", "on",
-		"bounded routing search windows: on (default) or off (full-plane, results identical)")
+		"deprecated, ignored (searches are always windowed); on or off")
 	ripup := flag.Bool("ripup", false, "rip-up-and-reroute pass for failed nets (extension)")
-	routeWorkers := flag.Int("route-workers", 0,
-		"speculative routing workers (0/1 = sequential; results are byte-identical)")
-	placeWorkers := flag.Int("place-workers", 0,
-		"parallel placement workers (0/1 = sequential; results are byte-identical)")
+	flag.Int("route-workers", 0, "deprecated, ignored (routing is sequential)")
+	flag.Int("place-workers", 0, "deprecated, ignored (placement is sequential)")
 	verify := flag.Bool("verify-routing", false,
 		"machine-check the routed geometry against the netlist before rendering")
 	trace := flag.Bool("trace", false, "print the per-stage span tree to stderr")
@@ -114,8 +113,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	noWindow, err := route.ParseWindow(*routeWindow)
-	if err != nil {
+	if err := route.ValidateWindow(*routeWindow); err != nil {
 		return err
 	}
 	opts := gen.Options{
@@ -127,11 +125,8 @@ func run() error {
 			Claimpoints:        !*noclaims,
 			SwapObjective:      *swap,
 			OrderShortestFirst: shortest,
-			NoWindow:           noWindow,
 			RipUp:              *ripup,
 		},
-		RouteWorkers: *routeWorkers,
-		PlaceWorkers: *placeWorkers,
 	}
 	switch *placer {
 	case "paper":

@@ -7,9 +7,6 @@
 package boxes
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"netart/internal/netlist"
 	"netart/internal/partition"
 )
@@ -36,13 +33,6 @@ type Config struct {
 	// treated as 1, the Appendix E default, which keeps every module in
 	// its own box (figures 6.2 and 6.3).
 	MaxBoxSize int
-	// Workers is the number of goroutines Form may use to process
-	// independent partitions concurrently (0/1 = sequential). The
-	// per-partition computation reads only the design and the
-	// partition's own module set, and results land in a slice indexed
-	// by partition, so the output is byte-identical for every worker
-	// count: the knob is an execution hint, never a result parameter.
-	Workers int
 }
 
 func (c Config) maxBox() int {
@@ -53,40 +43,12 @@ func (c Config) maxBox() int {
 }
 
 // Form divides every partition into boxes. The returned outer slice is
-// parallel to parts. With cfg.Workers > 1 the partitions are processed
-// concurrently; because each partition's string search is a pure
-// function of (design, partition, cfg) and the result slot is indexed
-// by partition, the output is identical to the sequential form.
+// parallel to parts.
 func Form(d *netlist.Design, parts []*partition.Part, cfg Config) [][]*Box {
 	out := make([][]*Box, len(parts))
-	workers := cfg.Workers
-	if workers > len(parts) {
-		workers = len(parts)
+	for i, p := range parts {
+		out[i] = formPartition(d, p, cfg)
 	}
-	if workers <= 1 {
-		for i, p := range parts {
-			out[i] = formPartition(d, p, cfg)
-		}
-		return out
-	}
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= len(parts) {
-					return
-				}
-				out[i] = formPartition(d, parts[i], cfg)
-			}
-		}()
-	}
-	wg.Wait()
 	return out
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"netart/internal/netlist"
@@ -13,33 +14,74 @@ import (
 )
 
 // This file is the rendered-output half of the determinism battery:
-// the full pipeline — placement, parallel routing, schematic build,
-// ASCII and SVG rendering — must produce byte-identical artwork for
-// every worker count. The router-internal half (segments, plane cells,
-// stats) lives in internal/route/parallel_test.go; this half proves no
-// divergence hides in the layers above the router.
+// the full pipeline — placement, routing, schematic build, ASCII and
+// SVG rendering — run concurrently on separate goroutines, the way
+// netartd's worker pool runs requests, must produce artwork
+// byte-identical to a sequential run, under both net orderings. The
+// router-internal half (segments, plane cells, stats, windowed vs
+// full-plane) lives in internal/route/determinism_test.go; this half
+// proves no divergence hides in the layers above the router.
 
 // renderPair runs the pipeline and returns the ASCII and SVG bytes.
-func renderPair(t *testing.T, build func() *netlist.Design, opts Options) (string, string) {
-	t.Helper()
-	rep, err := Run(context.Background(), build(), opts)
+// Every battery run also passes the geometry-level equivalence check:
+// the wires must realize the netlist, not just match another run.
+func renderPair(d *netlist.Design, opts Options) (string, string, error) {
+	rep, err := Run(context.Background(), d, opts)
 	if err != nil {
-		t.Fatal(err)
+		return "", "", err
 	}
-	// Every battery run also passes the geometry-level equivalence
-	// check: the wires must realize the netlist, not just match the
-	// sequential wires.
 	if err := route.VerifyEquivalence(rep.Routing); err != nil {
-		t.Fatal(err)
+		return "", "", err
 	}
 	var svg strings.Builder
 	if err := rep.Diagram.WriteSVG(&svg); err != nil {
-		t.Fatal(err)
+		return "", "", err
 	}
-	return rep.Diagram.ASCII(), svg.String()
+	return rep.Diagram.ASCII(), svg.String(), nil
 }
 
-var renderBatteryWorkers = []int{2, 4, 8}
+// renderConcurrency is the number of pipelines the battery runs at once.
+const renderConcurrency = 2
+
+// assertConcurrentRender renders the design sequentially under both
+// net orderings, then renderConcurrency more times at once per
+// ordering, and requires byte-identical ASCII and SVG.
+func assertConcurrentRender(t *testing.T, build func() *netlist.Design, opts Options) {
+	t.Helper()
+	for _, shortest := range []bool{false, true} {
+		o := opts
+		o.Route.OrderShortestFirst = shortest
+		seqASCII, seqSVG, err := renderPair(build(), o)
+		if err != nil {
+			t.Fatalf("shortest=%t: %v", shortest, err)
+		}
+		type out struct {
+			ascii, svg string
+			err        error
+		}
+		outs := make([]out, renderConcurrency)
+		var wg sync.WaitGroup
+		for i := range outs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				a, s, err := renderPair(build(), o)
+				outs[i] = out{a, s, err}
+			}(i)
+		}
+		wg.Wait()
+		for i, r := range outs {
+			switch {
+			case r.err != nil:
+				t.Errorf("shortest=%t concurrent#%d: %v", shortest, i, r.err)
+			case r.ascii != seqASCII:
+				t.Errorf("shortest=%t concurrent#%d: ASCII rendering diverges from sequential", shortest, i)
+			case r.svg != seqSVG:
+				t.Errorf("shortest=%t concurrent#%d: SVG rendering diverges from sequential", shortest, i)
+			}
+		}
+	}
+}
 
 func TestRenderedOutputDeterministicWorkloads(t *testing.T) {
 	cases := []struct {
@@ -62,32 +104,15 @@ func TestRenderedOutputDeterministicWorkloads(t *testing.T) {
 			if tc.slow && testing.Short() {
 				t.Skip("life battery skipped in -short mode")
 			}
-			seqASCII, seqSVG := renderPair(t, tc.build, tc.opts)
-			for _, w := range renderBatteryWorkers {
-				po := tc.opts
-				po.RouteWorkers = w
-				parASCII, parSVG := renderPair(t, tc.build, po)
-				if parASCII != seqASCII {
-					t.Errorf("workers=%d: ASCII rendering diverges from sequential", w)
-				}
-				if parSVG != seqSVG {
-					t.Errorf("workers=%d: SVG rendering diverges from sequential", w)
-				}
-				// Parallel placement on top of parallel routing must
-				// still match the fully sequential artwork.
-				po.PlaceWorkers = w
-				bothASCII, bothSVG := renderPair(t, tc.build, po)
-				if bothASCII != seqASCII || bothSVG != seqSVG {
-					t.Errorf("place+route workers=%d: rendering diverges from sequential", w)
-				}
-			}
+			assertConcurrentRender(t, tc.build, tc.opts)
 		})
 	}
 }
 
-// TestRenderedOutputDeterministicPlaceWorkers is the placement twin of
-// the route sweep above: only PlaceWorkers varies, so a divergence
-// localizes to the placement engine rather than the router.
+// TestRenderedOutputDeterministicPlaceWorkers is the placement-only
+// twin of the battery above: only the placements run concurrently;
+// each is then routed and rendered sequentially, so a divergence
+// localizes to placement.
 func TestRenderedOutputDeterministicPlaceWorkers(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -101,53 +126,41 @@ func TestRenderedOutputDeterministicPlaceWorkers(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			seqASCII, seqSVG := renderPair(t, tc.build, tc.opts)
-			for _, w := range renderBatteryWorkers {
-				po := tc.opts
-				po.PlaceWorkers = w
-				parASCII, parSVG := renderPair(t, tc.build, po)
-				if parASCII != seqASCII || parSVG != seqSVG {
-					t.Errorf("place workers=%d: rendered output diverges from sequential", w)
+			seqASCII, seqSVG, err := renderPair(tc.build(), tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			placed := make([]*place.Result, renderConcurrency)
+			errs := make([]error, renderConcurrency)
+			var wg sync.WaitGroup
+			for i := range placed {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					placed[i], errs[i] = place.Place(tc.build(), tc.opts.Place)
+				}(i)
+			}
+			wg.Wait()
+			for i, pr := range placed {
+				if errs[i] != nil {
+					t.Fatalf("concurrent#%d: %v", i, errs[i])
+				}
+				o := tc.opts
+				o.Placement = pr
+				a, s, err := renderPair(nil, o)
+				if err != nil {
+					t.Fatalf("concurrent#%d: %v", i, err)
+				}
+				if a != seqASCII || s != seqSVG {
+					t.Errorf("concurrent#%d: rendered output diverges from sequential", i)
 				}
 			}
 		})
 	}
 }
 
-// TestPlaceWorkersReachesEngine asserts the pipeline-level PlaceWorkers
-// knob really reaches the placement engine (parallel stats appear) and
-// that an explicit Place.Workers wins over it.
-func TestPlaceWorkersReachesEngine(t *testing.T) {
-	opts := DefaultOptions()
-	opts.PlaceWorkers = 4
-	rep, err := Run(context.Background(), workload.Datapath16(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss := rep.Placement.Parallel
-	if ss == nil {
-		t.Fatal("PlaceWorkers=4 produced no parallel placement stats")
-	}
-	if ss.Workers < 2 {
-		t.Fatalf("parallel placement ran with %d workers", ss.Workers)
-	}
-	if ss.Committed != ss.Partitions {
-		t.Fatalf("committed %d of %d partitions", ss.Committed, ss.Partitions)
-	}
-	opts2 := DefaultOptions()
-	opts2.PlaceWorkers = 4
-	opts2.Place.Workers = 1
-	rep2, err := Run(context.Background(), workload.Datapath16(), opts2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.Placement.Parallel != nil {
-		t.Fatal("Place.Workers=1 override did not force sequential placement")
-	}
-}
-
 // TestRenderedOutputDeterministicSeeded sweeps seeded random designs
-// through the full pipeline at every battery worker count.
+// through concurrent and sequential pipelines.
 func TestRenderedOutputDeterministicSeeded(t *testing.T) {
 	seeds := int64(20)
 	if testing.Short() {
@@ -159,45 +172,7 @@ func TestRenderedOutputDeterministicSeeded(t *testing.T) {
 			build := func() *netlist.Design { return workload.Random(12, seed) }
 			opts := Options{Place: place.Options{PartSize: 4, BoxSize: 2},
 				Route: route.Options{Claimpoints: true}}
-			seqASCII, seqSVG := renderPair(t, build, opts)
-			for _, w := range renderBatteryWorkers {
-				po := opts
-				po.RouteWorkers = w
-				parASCII, parSVG := renderPair(t, build, po)
-				if parASCII != seqASCII || parSVG != seqSVG {
-					t.Errorf("workers=%d: rendered output diverges from sequential", w)
-				}
-			}
+			assertConcurrentRender(t, build, opts)
 		})
-	}
-}
-
-// TestRouteWorkersReachesLadder asserts the RouteWorkers option really
-// reaches the router (speculation stats appear) and that the
-// degradation ladder inherits it on every rung.
-func TestRouteWorkersReachesLadder(t *testing.T) {
-	opts := DefaultOptions()
-	opts.RouteWorkers = 4
-	rep, err := Run(context.Background(), workload.Datapath16(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss := rep.Routing.Speculation
-	if ss == nil {
-		t.Fatal("RouteWorkers=4 produced no speculation stats")
-	}
-	if ss.Workers < 2 {
-		t.Fatalf("speculation ran with %d workers", ss.Workers)
-	}
-	// Explicit Route.Workers wins over the pipeline-level knob.
-	opts2 := DefaultOptions()
-	opts2.RouteWorkers = 4
-	opts2.Route.Workers = 1
-	rep2, err := Run(context.Background(), workload.Datapath16(), opts2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.Routing.Speculation != nil {
-		t.Fatal("Route.Workers=1 override did not force sequential routing")
 	}
 }

@@ -126,24 +126,6 @@ type Options struct {
 	// DegradeMode. The ladder never runs when routing succeeds, so the
 	// fast path is untouched.
 	Degrade DegradeMode
-	// RouteWorkers sets the parallel routing worker count (route.
-	// Options.Workers) for every routing attempt, including the
-	// degradation-ladder rungs: 0 or 1 routes sequentially, higher
-	// values run the deterministic speculation scheduler, whose output
-	// is byte-identical to the sequential router's. When Route.Workers
-	// is already non-zero it wins, so callers building route.Options by
-	// hand keep full control.
-	RouteWorkers int
-	// PlaceWorkers sets the parallel placement worker count (place.
-	// Options.Workers): box formation and per-partition module/box
-	// placement run on up to this many goroutines with results
-	// committed in canonical partition order, so the placement — and
-	// therefore every routing attempt the degradation ladder makes on
-	// top of it — is byte-identical to the sequential path. 0 or 1
-	// places sequentially. When Place.Workers is already non-zero it
-	// wins, mirroring RouteWorkers. Only the paper placer parallelizes;
-	// the surveyed baseline placers ignore the knob.
-	PlaceWorkers int
 	// Inject, when non-nil, is propagated to the place.box and
 	// route.wavefront fault sites for deterministic chaos testing.
 	Inject *resilience.Injector

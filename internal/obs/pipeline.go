@@ -43,16 +43,6 @@ type Pipeline struct {
 	// Traces counts snapshots taken (one per traced request).
 	Traces *Counter
 
-	// Speculation counters of the parallel router: per examined
-	// speculation exactly one of hit/miss increments, and each miss is
-	// followed by a requeue (the net re-routed in commit order).
-	SpecHits     *Counter
-	SpecMisses   *Counter
-	SpecRequeues *Counter
-	// RouteWorkerBusy records each routing worker's busy wall time, one
-	// observation per worker per parallel route attempt.
-	RouteWorkerBusy *Histogram
-
 	// Store tier event counters (netart_store_events_total{tier,event}):
 	// the per-tier view of the pluggable result store — "mem"/"disk"
 	// crossed with hit/miss/put/evict/promote/error. The legacy
@@ -107,17 +97,6 @@ type Pipeline struct {
 	JobsCanceled  *Counter
 	JobsEvicted   *Counter
 	JobsEvents    *Counter
-
-	// Placement scheduler counters of the parallel placement engine:
-	// partition tasks share no mutable state, so — unlike routing
-	// speculations — every examined task commits; the single
-	// "committed" outcome keeps the metric shape parallel to
-	// netart_route_speculation_total while staying honest about the
-	// scheduler's conflict-free construction.
-	PlaceSpecCommitted *Counter
-	// PlaceWorkerBusy records each placement worker's busy wall time,
-	// one observation per worker per parallel placement.
-	PlaceWorkerBusy *Histogram
 
 	stages map[string]*Histogram
 }
@@ -200,16 +179,6 @@ func NewPipeline() *Pipeline {
 	p.Traces = reg.Counter("netart_traces_total",
 		"Span-tree snapshots taken (one per traced request).", "")
 
-	specOutcome := func(o string) *Counter {
-		return reg.Counter("netart_route_speculation_total",
-			"Parallel-router speculation outcomes.", `outcome="`+o+`"`)
-	}
-	p.SpecHits = specOutcome("hit")
-	p.SpecMisses = specOutcome("miss")
-	p.SpecRequeues = specOutcome("requeue")
-	p.RouteWorkerBusy = reg.Histogram("netart_route_worker_busy_seconds",
-		"Busy wall time per routing worker per parallel route attempt.", "")
-
 	p.JobsSubmitted = reg.Counter("netart_jobs_submitted_total",
 		"Async jobs accepted by POST /v2/jobs.", "")
 	job := func(state string) *Counter {
@@ -223,12 +192,6 @@ func NewPipeline() *Pipeline {
 		"Job records evicted from the ring (TTL expiry or capacity pressure).", "")
 	p.JobsEvents = reg.Counter("netart_jobs_events_total",
 		"Progress events appended to job event logs.", "")
-
-	p.PlaceSpecCommitted = reg.Counter("netart_place_speculation_total",
-		"Parallel-placement scheduler outcomes (partition tasks are conflict-free, so every task commits).",
-		`outcome="committed"`)
-	p.PlaceWorkerBusy = reg.Histogram("netart_place_worker_busy_seconds",
-		"Busy wall time per placement worker per parallel placement.", "")
 
 	p.stages = make(map[string]*Histogram, len(StageNames))
 	for _, name := range StageNames {

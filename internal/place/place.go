@@ -33,15 +33,6 @@ type Options struct {
 	// tests can force deterministic placement failures. Nil costs one
 	// pointer compare per box.
 	Inject *resilience.Injector
-	// Workers is the parallel placement worker count: box formation and
-	// the per-partition work (module placement inside every box plus
-	// the §4.6.5 center-of-gravity box placement) run on up to Workers
-	// goroutines, with results committed strictly in canonical
-	// partition order. 0 or 1 places sequentially. The parallel path is
-	// byte-identical to the sequential one for every design and option
-	// set (enforced by the determinism battery in parallel_test.go):
-	// the knob is an execution hint, never a result parameter.
-	Workers int
 }
 
 // Fixed pins one module at an absolute position and orientation.
@@ -110,12 +101,6 @@ type Result struct {
 	// encloses the system terminals.
 	ModuleBounds geom.Rect
 	Bounds       geom.Rect
-
-	// Parallel carries the parallel scheduler's diagnostics when the
-	// placement ran with Options.Workers > 1; nil for sequential runs.
-	// It is the only field that may differ between worker counts —
-	// everything else is byte-identical.
-	Parallel *SpecStats
 }
 
 // TermPos returns the absolute position of any terminal, subsystem or
@@ -232,25 +217,24 @@ func Place(d *netlist.Design, opts Options) (*Result, error) {
 		MaxSize:        opts.PartSize,
 		MaxConnections: opts.MaxConnections,
 	})
-	bxs := boxes.Form(d, parts, boxes.Config{MaxBoxSize: opts.BoxSize, Workers: opts.Workers})
+	bxs := boxes.Form(d, parts, boxes.Config{MaxBoxSize: opts.BoxSize})
 
 	// Module placement inside every box, then box placement inside
-	// every partition, all in local coordinates. Partitions are
-	// independent at this stage, so the work fans out over
-	// Options.Workers goroutines with results committed in canonical
-	// partition order (parallel.go); the sequential path is the
-	// Workers<=1 special case of the same task function.
-	placedParts, spec, err := placeParts(d, parts, bxs, opts)
-	if err != nil {
-		return nil, err
+	// every partition, all in local coordinates.
+	placedParts := make([]*placedPart, len(parts))
+	for i, p := range parts {
+		pp, err := placeOnePartition(d, p, bxs[i], opts)
+		if err != nil {
+			return nil, err
+		}
+		placedParts[i] = pp
 	}
 
 	// Partition placement in absolute coordinates, then composition.
 	res := &Result{
-		Design:   d,
-		Mods:     map[*netlist.Module]*PlacedModule{},
-		SysPos:   map[*netlist.Terminal]geom.Point{},
-		Parallel: spec,
+		Design: d,
+		Mods:   map[*netlist.Module]*PlacedModule{},
+		SysPos: map[*netlist.Terminal]geom.Point{},
 	}
 	pinned := pinnedPartition(d, opts)
 	placePartitions(d, placedParts, pinned, opts)
@@ -346,6 +330,24 @@ type placedBox struct {
 	mods   []*PlacedModule // positions local to the box (lower-left 0,0)
 	size   geom.Point
 	origin geom.Point // local to the partition, set by box placement
+}
+
+// placeOnePartition places every box's module string of one partition,
+// then the boxes within the partition, all in local coordinates.
+func placeOnePartition(d *netlist.Design, p *partition.Part, bxs []*boxes.Box, opts Options) (*placedPart, error) {
+	pp := &placedPart{part: p}
+	for _, b := range bxs {
+		if err := opts.Inject.Fire(resilience.SitePlaceBox); err != nil {
+			return nil, fmt.Errorf("place: box placement: %w", err)
+		}
+		pb, err := placeBoxModules(b, opts)
+		if err != nil {
+			return nil, err
+		}
+		pp.boxes = append(pp.boxes, pb)
+	}
+	placeBoxesInPartition(d, pp, opts)
+	return pp, nil
 }
 
 // placeBoxModules implements MODULE_PLACEMENT and PLACE_MODULE

@@ -26,9 +26,8 @@ import (
 //     string modules can be realized with at most two bends without
 //     crossing any module outline in the box.
 //
-// The property battery (properties_test.go) runs this on random
-// designs at every battery worker count, so the parallel engine is
-// held to the paper's invariants, not merely to sequential equality.
+// The property battery (properties_test.go) runs this on the built-in
+// workloads and on random designs.
 
 // VerifyBoxes checks the §4.6.4 module-placement invariants of every
 // placed box against the options the placement ran with. It returns

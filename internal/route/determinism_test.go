@@ -2,6 +2,7 @@ package route
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"netart/internal/netlist"
@@ -9,15 +10,17 @@ import (
 	"netart/internal/workload"
 )
 
-// This file is the router half of the determinism battery: the
-// parallel speculation scheduler must produce results byte-identical
-// to the sequential router — same segments, same failures, same plane
-// cell state, same search statistics — for every workload, seed and
-// option combination. The rendered-output half (ASCII + SVG byte
+// This file is the router half of the determinism battery: routes run
+// concurrently on separate goroutines — the way netartd's worker pool
+// runs requests — must produce results byte-identical to a sequential
+// route of the same input: same segments, same failures, same plane
+// cell state, same search statistics. Under -race it also proves that
+// independent routers share no mutable state. Every battery result
+// passes VerifyEquivalence. The rendered-output half (ASCII + SVG byte
 // equality through the full pipeline) lives in internal/gen.
 
 // assertSameResult compares every observable field of two routing
-// results except the Speculation diagnostics block.
+// results.
 func assertSameResult(t *testing.T, tag string, seq, par *Result) {
 	t.Helper()
 	if seq.Stats != par.Stats {
@@ -70,8 +73,8 @@ func assertSameArtwork(t *testing.T, tag string, seq, par *Result) {
 }
 
 // routeFresh builds the design and placement from scratch and routes
-// it: each run must be fully independent so parallel runs cannot see
-// sequential state through shared structures.
+// it: each run must be fully independent so concurrent runs cannot see
+// each other's state through shared structures.
 func routeFresh(t *testing.T, build func() *netlist.Design, po place.Options, ro Options) *Result {
 	t.Helper()
 	pr, err := place.Place(build(), po)
@@ -85,11 +88,55 @@ func routeFresh(t *testing.T, build func() *netlist.Design, po place.Options, ro
 	return res
 }
 
-var batteryWorkers = []int{2, 4, 8}
+// batteryConcurrency is the number of routes the battery runs at once.
+const batteryConcurrency = 2
 
-// batteryOrders and batteryWindows span the full determinism matrix:
+// routeConcurrently runs batteryConcurrency independent place-and-route
+// passes of the same input at once and returns their results.
+func routeConcurrently(t *testing.T, build func() *netlist.Design, po place.Options, ro Options) []*Result {
+	t.Helper()
+	res := make([]*Result, batteryConcurrency)
+	errs := make([]error, batteryConcurrency)
+	var wg sync.WaitGroup
+	for i := range res {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			pr, err := place.Place(build(), po)
+			if err == nil {
+				res[i], err = Route(pr, ro)
+			}
+			errs[i] = err
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return res
+}
+
+// assertConcurrentMatches routes the input sequentially, checks the
+// result against the netlist, then requires every concurrent route of
+// the same input to reproduce it exactly. It returns the sequential
+// result.
+func assertConcurrentMatches(t *testing.T, tag string, build func() *netlist.Design, po place.Options, ro Options) *Result {
+	t.Helper()
+	seq := routeFresh(t, build, po, ro)
+	if err := VerifyEquivalence(seq); err != nil {
+		t.Errorf("%s: %v", tag, err)
+	}
+	for i, par := range routeConcurrently(t, build, po, ro) {
+		assertSameResult(t, fmt.Sprintf("%s concurrent#%d", tag, i), seq, par)
+	}
+	return seq
+}
+
+// batteryOrders and batteryWindows span the determinism matrix:
 // {design, shortest-first} net ordering × {windowed, full-plane}
-// search, each at worker counts {1 (the sequential baseline), 2, 4, 8}.
+// search.
 var batteryOrders = []struct {
 	name     string
 	shortest bool
@@ -124,38 +171,23 @@ func TestParallelMatchesSequentialWorkloads(t *testing.T) {
 				if tc.slow && testing.Short() {
 					t.Skip("life battery skipped in -short mode")
 				}
-				ro := Options{Claimpoints: true, OrderShortestFirst: ord.shortest}
 				// One sequential baseline per window setting; the two
 				// baselines must agree on the artwork (the windowed≡full
 				// battery in window_test.go owns the exhaustive version
 				// of that property).
 				var baseline [2]*Result
 				for wi, win := range batteryWindows {
-					wro := ro
-					wro.NoWindow = win.noWindow
-					baseline[wi] = routeFresh(t, tc.build, tc.po, wro)
+					ro := Options{Claimpoints: true, OrderShortestFirst: ord.shortest, noWindow: win.noWindow}
+					baseline[wi] = assertConcurrentMatches(t,
+						tc.name+"/"+ord.name+"/"+win.name, tc.build, tc.po, ro)
 				}
 				assertSameArtwork(t, tc.name+"/"+ord.name+"/window-vs-full", baseline[0], baseline[1])
-				for wi, win := range batteryWindows {
-					wro := ro
-					wro.NoWindow = win.noWindow
-					for _, w := range batteryWorkers {
-						pro := wro
-						pro.Workers = w
-						par := routeFresh(t, tc.build, tc.po, pro)
-						if par.Speculation == nil {
-							t.Fatalf("%s workers=%d: no speculation stats on parallel result", win.name, w)
-						}
-						assertSameResult(t, fmt.Sprintf("%s/%s/%s workers=%d",
-							tc.name, ord.name, win.name, w), baseline[wi], par)
-					}
-				}
 			})
 		}
 	}
 }
 
-// TestParallelMatchesSequentialOptionMatrix exercises the scheduler
+// TestParallelMatchesSequentialOptionMatrix exercises concurrent routes
 // under every router feature that interacts with the plane state:
 // claimpoint release, shortest-first ordering, the rip-up pass, the
 // dual-front engine and the Lee baseline.
@@ -175,73 +207,20 @@ func TestParallelMatchesSequentialOptionMatrix(t *testing.T) {
 	po := place.Options{PartSize: 5, BoxSize: 1}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			seq := routeFresh(t, workload.Datapath16, po, v.ro)
-			for _, w := range batteryWorkers {
-				pro := v.ro
-				pro.Workers = w
-				par := routeFresh(t, workload.Datapath16, po, pro)
-				assertSameResult(t, fmt.Sprintf("%s workers=%d", v.name, w), seq, par)
-			}
+			assertConcurrentMatches(t, v.name, workload.Datapath16, po, v.ro)
 		})
 	}
 }
 
 // TestParallelMatchesSequentialSeeded routes 20 seeded random designs
-// (the internal/workload generator) at every battery worker count.
+// (the internal/workload generator) concurrently and sequentially.
 func TestParallelMatchesSequentialSeeded(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			build := func() *netlist.Design { return workload.Random(12, seed) }
 			po := place.Options{PartSize: 4, BoxSize: 2}
-			ro := Options{Claimpoints: true}
-			seq := routeFresh(t, build, po, ro)
-			for _, w := range batteryWorkers {
-				pro := ro
-				pro.Workers = w
-				par := routeFresh(t, build, po, pro)
-				assertSameResult(t, fmt.Sprintf("seed%d workers=%d", seed, w), seq, par)
-			}
+			assertConcurrentMatches(t, fmt.Sprintf("seed%d", seed), build, po, Options{Claimpoints: true})
 		})
-	}
-}
-
-// TestParallelWorkerClamp: more workers than nets must clamp and still
-// work (including the degenerate one-net design).
-func TestParallelWorkerClamp(t *testing.T) {
-	build := func() *netlist.Design { return workload.Random(3, 7) }
-	po := place.Options{PartSize: 2, BoxSize: 1}
-	seq := routeFresh(t, build, po, Options{Claimpoints: true})
-	par := routeFresh(t, build, po, Options{Claimpoints: true, Workers: 64})
-	assertSameResult(t, "clamp", seq, par)
-	if par.Speculation.Workers > len(par.Nets) {
-		t.Errorf("workers not clamped: %d workers for %d nets", par.Speculation.Workers, len(par.Nets))
-	}
-}
-
-// TestParallelSpeculationAccounting: the scheduler's books must
-// balance — every net is either a validated speculation or a requeue.
-func TestParallelSpeculationAccounting(t *testing.T) {
-	par := routeFresh(t, workload.Datapath16, place.Options{PartSize: 7, BoxSize: 5},
-		Options{Claimpoints: true, Workers: 4})
-	ss := par.Speculation
-	if ss == nil {
-		t.Fatal("no speculation stats")
-	}
-	if ss.Hits+ss.Misses != ss.Speculated {
-		t.Errorf("hits %d + misses %d != speculated %d", ss.Hits, ss.Misses, ss.Speculated)
-	}
-	if ss.Misses != ss.Requeues {
-		t.Errorf("misses %d != requeues %d under inline re-route", ss.Misses, ss.Requeues)
-	}
-	if ss.Hits+ss.Requeues != len(par.Nets) {
-		t.Errorf("hits %d + requeues %d != %d nets", ss.Hits, ss.Requeues, len(par.Nets))
-	}
-	nets := 0
-	for _, n := range ss.WorkerNets {
-		nets += n
-	}
-	if nets != ss.Speculated {
-		t.Errorf("per-worker nets %d != speculated %d", nets, ss.Speculated)
 	}
 }

@@ -1,7 +1,7 @@
 package route
 
 import (
-	"fmt"
+	"sync"
 	"testing"
 
 	"netart/internal/geom"
@@ -11,7 +11,8 @@ import (
 )
 
 // Positive half of the equivalence-checker tests: every result the
-// router produces — sequential or parallel, any workload — must pass
+// router produces — on the test goroutine or concurrently, windowed or
+// full-plane, any workload — must pass
 // VerifyEquivalence. The negative half corrupts routed geometry in
 // targeted ways and asserts the checker catches each class of
 // violation, so the positive half is known not to pass vacuously.
@@ -27,15 +28,48 @@ func TestEquivalenceHoldsAcrossWorkloads(t *testing.T) {
 		{"datapath_wide", workload.Datapath16, place.Options{PartSize: 7, BoxSize: 5}},
 	}
 	for _, tc := range cases {
-		for _, workers := range []int{0, 4} {
-			t.Run(fmt.Sprintf("%s/workers%d", tc.name, workers), func(t *testing.T) {
-				res := placeAndRoute(t, tc.build(), tc.po,
-					Options{Claimpoints: true, Workers: workers})
-				if err := VerifyEquivalence(res); err != nil {
-					t.Fatal(err)
+		// workers0 routes on the test goroutine; workers4 runs four
+		// routes at once — {design, shortest} order × {windowed,
+		// full-plane} search — the way netartd's worker pool runs
+		// requests, and checks each.
+		t.Run(tc.name+"/workers0", func(t *testing.T) {
+			res := placeAndRoute(t, tc.build(), tc.po, Options{Claimpoints: true})
+			if err := VerifyEquivalence(res); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Run(tc.name+"/workers4", func(t *testing.T) {
+			var opts []Options
+			for _, ord := range batteryOrders {
+				for _, win := range batteryWindows {
+					opts = append(opts, Options{Claimpoints: true,
+						OrderShortestFirst: ord.shortest, noWindow: win.noWindow})
 				}
-			})
-		}
+			}
+			errs := make([]error, len(opts))
+			var wg sync.WaitGroup
+			for i, ro := range opts {
+				wg.Add(1)
+				go func(i int, ro Options) {
+					defer wg.Done()
+					pr, err := place.Place(tc.build(), tc.po)
+					var res *Result
+					if err == nil {
+						res, err = Route(pr, ro)
+					}
+					if err == nil {
+						err = VerifyEquivalence(res)
+					}
+					errs[i] = err
+				}(i, ro)
+			}
+			wg.Wait()
+			for i, err := range errs {
+				if err != nil {
+					t.Errorf("%+v: %v", opts[i], err)
+				}
+			}
+		})
 	}
 }
 

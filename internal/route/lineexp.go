@@ -182,8 +182,7 @@ func newLineSearch(pl *Plane, net int32, target func(geom.Point) bool, swap bool
 // It is only valid when the predicate is exactly "a listed point or the
 // net's own laid geometry": the tree segments are the wires the net has
 // laid, so the mark set equals the cells where the plane reports the
-// net's own wires — and since no other net can ever write those values,
-// dropping the plane reads keeps speculative read-set validation sound.
+// net's own wires.
 func (s *lineSearch) setTargets(pts []geom.Point, tree []Segment) {
 	for _, p := range pts {
 		if s.pl.InBounds(p) {
@@ -327,7 +326,6 @@ func (s *lineSearch) expand(a *active, out []*active) []*active {
 		across = pl.hNet
 		alongBit, acrossBit = stopVWire, stopHWire
 	}
-	spec := pl.sp != nil && pl.sp.active
 	dbit := uint32(dirBit(a.dir))
 	stamp := ar.gen << coveredStampBits
 
@@ -375,8 +373,7 @@ func (s *lineSearch) expand(a *active, out []*active) []*active {
 			// the window was grown from), so no contact is missed. The
 			// edge counts as a clip only when the cell would have been
 			// passable — a boundary coinciding with a natural stop hides
-			// nothing (the accessor-based reads here keep the clip
-			// decision in the speculative read set).
+			// nothing.
 			if nj == wcut {
 				p := a.pt(i, nj)
 				if a.bends < s.clipWave && !s.stopsEscape(p) && s.wireAlong(p, a.dir) == 0 {
@@ -385,12 +382,6 @@ func (s *lineSearch) expand(a *active, out []*active) []*active {
 				break
 			}
 			nidx := idx + didx
-			if spec {
-				// One read note covers every field of the cell: the
-				// journal tracks whole points, so this subsumes the
-				// per-accessor notes of the generic path.
-				pl.sp.note(int32(nidx))
-			}
 			cw := covered[nidx]
 			if cw>>coveredStampBits != gen {
 				cw = stamp

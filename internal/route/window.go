@@ -98,11 +98,11 @@ func winArea(r geom.Rect) int {
 // duplicate sweep on failure while saving almost nothing on success.
 // Any schedule ending at the full plane preserves byte-identity (the
 // ladder only accepts provably exact outcomes), so pruning is purely a
-// performance decision. With Options.NoWindow the schedule is just the
+// performance decision. With Options.noWindow the schedule is just the
 // full plane, reproducing the seed router's behavior.
 func (rt *router) windows(bbox geom.Rect) []geom.Rect {
 	full := rt.plane.Bounds
-	if rt.opts.NoWindow {
+	if rt.opts.noWindow {
 		return []geom.Rect{full}
 	}
 	rungs := [...]geom.Rect{
@@ -131,10 +131,8 @@ const coveredStampBits = 5
 const targetBit = 1 << 4
 
 // searchArena is the reusable scratch of the line-expansion engine. One
-// arena serves one router (workers of the parallel scheduler each own
-// one, created lazily for their private plane); a search acquires it by
-// bumping the covered epoch, which invalidates every mark of the
-// previous search in O(1).
+// arena serves one router; a search acquires it by bumping the covered
+// epoch, which invalidates every mark of the previous search in O(1).
 type searchArena struct {
 	// covered holds, per plane point, gen<<4 | direction bits: a cell
 	// stops an escape only when it was already swept in the same

@@ -11,8 +11,8 @@ import (
 )
 
 // This file is the windowed≡full property battery. The bounded search
-// windows of §5i (DESIGN.md) are a pure performance device: the
-// exactness ladder — retry with a wider window whenever a clipped
+// windows of §5i (DESIGN.md) never change the artwork: the exactness
+// ladder — retry with a wider window whenever a clipped
 // escape could have beaten the found solution, ending at the full
 // plane — guarantees the windowed router returns byte-identical wire
 // geometry to an unbounded search. These tests enforce that guarantee
@@ -22,14 +22,14 @@ import (
 // the netlist).
 
 // assertWindowedEqualsFull routes the design twice — windowed (the
-// default) and full-plane (NoWindow) — and requires identical artwork,
+// default) and full-plane (noWindow) — and requires identical artwork,
 // then machine-checks both results against the netlist.
 func assertWindowedEqualsFull(t *testing.T, tag string, build func() *netlist.Design, po place.Options, ro Options) {
 	t.Helper()
-	ro.NoWindow = false
+	ro.noWindow = false
 	win := routeFresh(t, build, po, ro)
 	full := ro
-	full.NoWindow = true
+	full.noWindow = true
 	fres := routeFresh(t, build, po, full)
 	assertSameArtwork(t, tag, fres, win)
 	if err := VerifyEquivalence(win); err != nil {
@@ -124,10 +124,10 @@ func TestWindowLadderTerminates(t *testing.T) {
 		})
 	}
 	t.Run("nowindow", func(t *testing.T) {
-		rt := &router{plane: &Plane{Bounds: full}, opts: Options{NoWindow: true}}
+		rt := &router{plane: &Plane{Bounds: full}, opts: Options{noWindow: true}}
 		rungs := rt.windows(geom.Rect{Min: geom.Pt(5, 5), Max: geom.Pt(9, 9)})
 		if len(rungs) != 1 || rungs[0] != full {
-			t.Fatalf("NoWindow schedule %v, want just the full plane", rungs)
+			t.Fatalf("noWindow schedule %v, want just the full plane", rungs)
 		}
 	})
 }

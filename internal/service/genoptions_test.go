@@ -7,18 +7,14 @@ import (
 )
 
 // cacheKeyExempt names the GenOptions fields that deliberately do NOT
-// participate in the cache key: execution hints whose outputs are
-// byte-identical to their sequential counterparts (enforced by the
-// determinism batteries in internal/route, internal/place and
-// internal/gen). Adding a field here without such a battery is a
-// cache-poisoning bug.
+// participate in the cache key: the deprecated knobs the server accepts
+// and ignores (deprecated_test.go pins that they change nothing).
+// Adding a field here that does affect the output is a cache-poisoning
+// bug.
 var cacheKeyExempt = map[string]bool{
 	"RouteWorkers": true,
 	"PlaceWorkers": true,
-	// Windowed and full-plane searches produce byte-identical results —
-	// guaranteed by the routing exactness ladder and enforced by the
-	// windowed≡full property battery in internal/route.
-	"RouteWindow": true,
+	"RouteWindow":  true,
 }
 
 // nonDefaultFor returns a valid non-default value for one GenOptions
@@ -75,7 +71,7 @@ func TestGenOptionsCacheKeyCoverage(t *testing.T) {
 			}
 			changed := o.canonical(opts.Degrade) != baseKey
 			if cacheKeyExempt[f.Name] && changed {
-				t.Errorf("execution hint %s leaked into the cache key", f.Name)
+				t.Errorf("ignored knob %s leaked into the cache key", f.Name)
 			}
 			if !cacheKeyExempt[f.Name] && !changed {
 				t.Errorf("result-affecting field %s does not participate in the cache key", f.Name)

@@ -70,13 +70,9 @@ type GenOptions struct {
 	// increasing estimated length, the §7 extension) or "design" (the
 	// paper's order). Replaces the former shortest_first boolean.
 	RouteOrder string `json:"route_order,omitempty"`
-	// RouteWindow toggles the bounded search windows of the routing hot
-	// path: "on" (default) or "off" (full-plane searches, the seed
-	// behavior). Windowed results are byte-identical to full-plane ones
-	// — the exactness ladder guarantees it and the windowed≡full
-	// property battery in internal/route enforces it — so, exactly like
-	// route_workers, the knob is an execution hint and does NOT
-	// participate in the cache key.
+	// RouteWindow is deprecated and ignored: routing searches are
+	// always windowed. "on", "off" and "" are accepted so older
+	// clients keep working; any other value is rejected.
 	RouteWindow string `json:"route_window,omitempty"`
 	RipUp       bool   `json:"rip_up,omitempty"`
 	DualFront   bool   `json:"dual_front,omitempty"`
@@ -87,19 +83,12 @@ type GenOptions struct {
 	// Empty inherits the server default.
 	DegradeMode string `json:"degrade_mode,omitempty"`
 
-	// RouteWorkers sets the router's speculative parallelism (see
-	// route.Options.Workers); 0 inherits the server default, 1 forces
-	// sequential routing. The parallel router is byte-identical to the
-	// sequential one, so this knob is an execution hint, not a result
-	// parameter: it deliberately does NOT participate in the cache key.
+	// RouteWorkers and PlaceWorkers are deprecated and ignored:
+	// placement and routing run sequentially within a request (the
+	// server's worker pool runs requests concurrently). Values >= 0 are
+	// accepted so older clients keep working; negative values are
+	// rejected.
 	RouteWorkers int `json:"route_workers,omitempty"`
-
-	// PlaceWorkers sets the placement engine's parallelism (see
-	// place.Options.Workers); 0 inherits the server default, 1 forces
-	// sequential placement. Parallel placement commits partition tasks
-	// in canonical order and is byte-identical to the sequential path,
-	// so — exactly like route_workers — the knob is an execution hint
-	// and does NOT participate in the cache key.
 	PlaceWorkers int `json:"place_workers,omitempty"`
 }
 
@@ -126,7 +115,7 @@ func (o GenOptions) resolve() (gen.Options, error) {
 	if opts.Route.OrderShortestFirst, err = route.ParseOrder(o.RouteOrder); err != nil {
 		return opts, err
 	}
-	if opts.Route.NoWindow, err = route.ParseWindow(o.RouteWindow); err != nil {
+	if err = route.ValidateWindow(o.RouteWindow); err != nil {
 		return opts, err
 	}
 	if opts.Place.PartSize == 0 {
@@ -167,11 +156,9 @@ func (o GenOptions) resolve() (gen.Options, error) {
 	if o.RouteWorkers < 0 {
 		return opts, fmt.Errorf("route_workers must be >= 0, got %d", o.RouteWorkers)
 	}
-	opts.RouteWorkers = o.RouteWorkers
 	if o.PlaceWorkers < 0 {
 		return opts, fmt.Errorf("place_workers must be >= 0, got %d", o.PlaceWorkers)
 	}
-	opts.PlaceWorkers = o.PlaceWorkers
 	return opts, nil
 }
 
@@ -180,12 +167,9 @@ func (o GenOptions) resolve() (gen.Options, error) {
 // misses the cache. The degradation policy is passed in resolved form
 // because an empty request field inherits the server default — two
 // requests with different effective policies must never share a cache
-// entry. RouteWorkers and PlaceWorkers are deliberately absent: the
-// parallel router's and the parallel placement engine's outputs are
-// byte-identical to their sequential counterparts for every input
-// (enforced by the determinism batteries in internal/route,
-// internal/place and internal/gen), so requests differing only in
-// worker counts may — and should — share one cache entry.
+// entry. The deprecated, ignored knobs (RouteWindow, RouteWorkers,
+// PlaceWorkers) are absent, so requests differing only in them share
+// one cache entry.
 func (o GenOptions) canonical(degrade gen.DegradeMode) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "placer=%s part=%d box=%d conn=%d", orDefault(o.Placer, "paper"),
