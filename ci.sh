@@ -98,6 +98,13 @@ echo "$COV_OUT" | awk '
 echo "== go test -fuzz=FuzzParseDesign -fuzztime=5s ./internal/netlist"
 go test -run='^$' -fuzz=FuzzParseDesign -fuzztime=5s ./internal/netlist
 
+# Same for the router's derived plane state (stops byte and row/column
+# bitboards) and the windowed search ladder with its reused arena.
+echo "== go test -fuzz=FuzzPlaneOverlay -fuzztime=5s ./internal/route"
+go test -run='^$' -fuzz=FuzzPlaneOverlay -fuzztime=5s ./internal/route
+echo "== go test -fuzz=FuzzWindowedMatchesFull -fuzztime=5s ./internal/route"
+go test -run='^$' -fuzz=FuzzWindowedMatchesFull -fuzztime=5s ./internal/route
+
 # Allocation guard: the disabled observer / metric paths must stay
 # allocation-free, or every un-traced request pays for observability it
 # didn't ask for. Every Benchmark*Disabled must report 0 allocs/op.

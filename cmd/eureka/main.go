@@ -4,16 +4,14 @@
 // Usage:
 //
 //	eureka [-u] [-d] [-r] [-l] [-s] [-noclaims] [-route-order shortest|design]
-//	       [-route-window on|off] [-o out.esc] graphic-file net-list-file
-//	       [call-file] [io-file]
+//	       [-o out.esc] graphic-file net-list-file [call-file] [io-file]
 //
 // The graphic file is an ESCHER diagram holding the placement and any
 // prerouted nets; the net-list file gives the connection rules
 // (Appendix A). When call/io files are omitted, the network is rebuilt
 // from the graphic file's instances and contacts against the library.
 // Nets already drawn in the graphic file are kept as prerouted
-// obstacles; the router adds the missing connections. -route-window and
-// -route-workers are deprecated and ignored.
+// obstacles; the router adds the missing connections.
 package main
 
 import (
@@ -47,10 +45,7 @@ func run() error {
 	noclaims := flag.Bool("noclaims", false, "disable the claimpoint extension")
 	routeOrder := flag.String("route-order", "shortest",
 		"net routing order: shortest (default, §7 extension) or design (the paper's order)")
-	routeWindow := flag.String("route-window", "on",
-		"deprecated, ignored (searches are always windowed); on or off")
 	ripup := flag.Bool("ripup", false, "rip-up-and-reroute pass for failed nets (extension)")
-	flag.Int("route-workers", 0, "deprecated, ignored (routing is sequential)")
 	trace := flag.Bool("trace", false, "print the routing span tree to stderr")
 	out := flag.String("o", "", "output file (default stdout)")
 	name := flag.String("name", "", "design name (default: graphic file's tname)")
@@ -94,9 +89,6 @@ func run() error {
 	// argument may be nil — the placement carries it).
 	shortest, err := route.ParseOrder(*routeOrder)
 	if err != nil {
-		return err
-	}
-	if err := route.ValidateWindow(*routeWindow); err != nil {
 		return err
 	}
 	ropts := route.Options{

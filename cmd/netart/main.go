@@ -12,8 +12,6 @@
 // Render flags: -ascii (print a character rendering), -svg FILE,
 // -esc FILE (ESCHER diagram). Placement knobs match pablo (-p -b -c -e
 // -i -s); routing knobs match eureka (-swap, -noclaims, -route-order).
-// -route-window, -route-workers and -place-workers are deprecated and
-// ignored.
 // -trace prints the per-stage span tree (wall time, outcome, stage
 // attributes such as partition counts and wavefront expansions) to
 // stderr after generation.
@@ -55,11 +53,7 @@ func run() error {
 	noclaims := flag.Bool("noclaims", false, "disable the claimpoint extension")
 	routeOrder := flag.String("route-order", "shortest",
 		"net routing order: shortest (default, §7 extension) or design (the paper's order)")
-	routeWindow := flag.String("route-window", "on",
-		"deprecated, ignored (searches are always windowed); on or off")
 	ripup := flag.Bool("ripup", false, "rip-up-and-reroute pass for failed nets (extension)")
-	flag.Int("route-workers", 0, "deprecated, ignored (routing is sequential)")
-	flag.Int("place-workers", 0, "deprecated, ignored (placement is sequential)")
 	verify := flag.Bool("verify-routing", false,
 		"machine-check the routed geometry against the netlist before rendering")
 	trace := flag.Bool("trace", false, "print the per-stage span tree to stderr")
@@ -111,9 +105,6 @@ func run() error {
 
 	shortest, err := route.ParseOrder(*routeOrder)
 	if err != nil {
-		return err
-	}
-	if err := route.ValidateWindow(*routeWindow); err != nil {
 		return err
 	}
 	opts := gen.Options{

@@ -152,8 +152,6 @@ func run() error {
 
 	degrade := flag.String("degrade-mode", "none",
 		"default routing-failure policy: none, strict, escalate, best-effort")
-	flag.Int("route-workers", 0, "deprecated, ignored (routing is sequential per request)")
-	flag.Int("place-workers", 0, "deprecated, ignored (placement is sequential per request)")
 	verifyRouting := flag.Bool("verify-routing", false,
 		"machine-check every response's wire geometry against its netlist before serving")
 	batchRetries := flag.Int("batch-retries", 2,

@@ -12,7 +12,6 @@
 // placement, written to -o or stdout. With -g, the given diagram's
 // instances are pinned and the remaining modules are placed around
 // them ("the preplaced part will form a partition on its own").
-// -place-workers is deprecated and ignored.
 package main
 
 import (
@@ -44,7 +43,6 @@ func run() error {
 	i := flag.Int("i", 0, "extra tracks around each box")
 	s := flag.Int("s", 0, "extra tracks around each module")
 	g := flag.String("g", "", "ESCHER diagram with a preplaced part to keep fixed")
-	flag.Int("place-workers", 0, "deprecated, ignored (placement is sequential)")
 	trace := flag.Bool("trace", false, "print the placement span tree to stderr")
 	out := flag.String("o", "", "output file (default stdout)")
 	name := flag.String("name", "design", "design name for the output diagram")

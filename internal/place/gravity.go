@@ -29,24 +29,22 @@ func (pb *placedBox) modSet() map[*netlist.Module]bool {
 }
 
 // sharedNets returns the nets that have a terminal in set a and a
-// terminal in set b.
-func sharedNets(d *netlist.Design, a, b map[*netlist.Module]bool) map[*netlist.Net]bool {
+// terminal in set b. Only the nets on the terminals of a's modules can
+// qualify, so it visits those rather than every net of the design.
+func sharedNets(a, b map[*netlist.Module]bool) map[*netlist.Net]bool {
 	out := map[*netlist.Net]bool{}
-	for _, n := range d.Nets {
-		inA, inB := false, false
-		for _, t := range n.Terms {
-			if t.Module == nil {
+	for m := range a {
+		for _, t := range m.Terms {
+			n := t.Net
+			if n == nil || out[n] {
 				continue
 			}
-			if a[t.Module] {
-				inA = true
+			for _, u := range n.Terms {
+				if u.Module != nil && b[u.Module] {
+					out[n] = true
+					break
+				}
 			}
-			if b[t.Module] {
-				inB = true
-			}
-		}
-		if inA && inB {
-			out[n] = true
 		}
 	}
 	return out
@@ -82,7 +80,7 @@ func gravity(mods []*PlacedModule, origin geom.Point, nets map[*netlist.Net]bool
 // distance between the gravity centers of the shared-net terminals.
 // Box origins are normalized so the partition's lower-left is (0,0);
 // pp.size receives the partition bounding box inflated by PartSpacing.
-func placeBoxesInPartition(d *netlist.Design, pp *placedPart, opts Options) {
+func placeBoxesInPartition(pp *placedPart, opts Options) {
 	if len(pp.boxes) == 0 {
 		pp.size = geom.Pt(0, 0)
 		return
@@ -115,7 +113,7 @@ func placeBoxesInPartition(d *netlist.Design, pp *placedPart, opts Options) {
 		}
 		bestI, bestConn := 0, -1
 		for pi, i := range pending {
-			conn := len(sharedNets(d, pp.boxes[i].modSet(), placedSet))
+			conn := len(sharedNets(pp.boxes[i].modSet(), placedSet))
 			if conn > bestConn {
 				bestI, bestConn = pi, conn
 			}
@@ -124,7 +122,7 @@ func placeBoxesInPartition(d *netlist.Design, pp *placedPart, opts Options) {
 		pending = append(pending[:bestI], pending[bestI+1:]...)
 		pb := pp.boxes[i]
 
-		nets := sharedNets(d, pb.modSet(), placedSet)
+		nets := sharedNets(pb.modSet(), placedSet)
 		g0, ok0 := gravity(pb.mods, geom.Pt(0, 0), nets)
 		var g1 fpoint
 		ok1 := false
@@ -296,7 +294,7 @@ func pinnedPartition(d *netlist.Design, opts Options) *placedPart {
 // most modules (or the pinned preplaced partition) is placed first; each
 // following partition is the most heavily connected one and lands at the
 // free position minimizing the gravity center distance.
-func placePartitions(d *netlist.Design, parts []*placedPart, pinned *placedPart, opts Options) {
+func placePartitions(parts []*placedPart, pinned *placedPart, opts Options) {
 	var placed []*placedPart
 	var placedRects []geom.Rect
 	pending := append([]*placedPart(nil), parts...)
@@ -327,7 +325,7 @@ func placePartitions(d *netlist.Design, parts []*placedPart, pinned *placedPart,
 		}
 		bestI, bestConn := 0, -1
 		for i, pp := range pending {
-			conn := len(sharedNets(d, pp.partModSet(), placedSet))
+			conn := len(sharedNets(pp.partModSet(), placedSet))
 			if conn > bestConn {
 				bestI, bestConn = i, conn
 			}
@@ -335,7 +333,7 @@ func placePartitions(d *netlist.Design, parts []*placedPart, pinned *placedPart,
 		pp := pending[bestI]
 		pending = append(pending[:bestI], pending[bestI+1:]...)
 
-		nets := sharedNets(d, pp.partModSet(), placedSet)
+		nets := sharedNets(pp.partModSet(), placedSet)
 		g0, n0 := pp.partGravity(nets, false)
 		var g1 fpoint
 		n1 := 0

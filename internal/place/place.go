@@ -223,7 +223,7 @@ func Place(d *netlist.Design, opts Options) (*Result, error) {
 	// every partition, all in local coordinates.
 	placedParts := make([]*placedPart, len(parts))
 	for i, p := range parts {
-		pp, err := placeOnePartition(d, p, bxs[i], opts)
+		pp, err := placeOnePartition(p, bxs[i], opts)
 		if err != nil {
 			return nil, err
 		}
@@ -237,7 +237,7 @@ func Place(d *netlist.Design, opts Options) (*Result, error) {
 		SysPos: map[*netlist.Terminal]geom.Point{},
 	}
 	pinned := pinnedPartition(d, opts)
-	placePartitions(d, placedParts, pinned, opts)
+	placePartitions(placedParts, pinned, opts)
 
 	if pinned != nil {
 		for _, pm := range pinned.mods {
@@ -334,7 +334,7 @@ type placedBox struct {
 
 // placeOnePartition places every box's module string of one partition,
 // then the boxes within the partition, all in local coordinates.
-func placeOnePartition(d *netlist.Design, p *partition.Part, bxs []*boxes.Box, opts Options) (*placedPart, error) {
+func placeOnePartition(p *partition.Part, bxs []*boxes.Box, opts Options) (*placedPart, error) {
 	pp := &placedPart{part: p}
 	for _, b := range bxs {
 		if err := opts.Inject.Fire(resilience.SitePlaceBox); err != nil {
@@ -346,7 +346,7 @@ func placeOnePartition(d *netlist.Design, p *partition.Part, bxs []*boxes.Box, o
 		}
 		pp.boxes = append(pp.boxes, pb)
 	}
-	placeBoxesInPartition(d, pp, opts)
+	placeBoxesInPartition(pp, opts)
 	return pp, nil
 }
 

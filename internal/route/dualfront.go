@@ -1,6 +1,8 @@
 package route
 
 import (
+	"slices"
+
 	"netart/internal/geom"
 )
 
@@ -56,7 +58,7 @@ type joint struct {
 //
 // Each front owns a private arena: the two coverage maps must stay
 // independent (both fronts may sweep the same cell), so the fronts
-// cannot share one epoch-stamped array.
+// cannot share one set of bitboards.
 func dualSearch(pl *Plane, net int32, fromA geom.Point, dirsA []geom.Dir,
 	fromB geom.Point, dirsB []geom.Dir, swap bool, win geom.Rect,
 	stats *SearchStats, cancel *cancelCheck) ([]Segment, bool, bool) {
@@ -71,7 +73,7 @@ func dualSearch(pl *Plane, net int32, fromA geom.Point, dirsA []geom.Dir,
 			for i := a.iv.Lo; i <= a.iv.Hi; i++ {
 				p := a.pt(i, a.index)
 				if pl.InBounds(p) {
-					ls.ar.markCovered(pl.idx(p), allDirBits)
+					ls.ar.markStart(pl.idx(p))
 					f.owner[pl.idx(p)] = cellOwner{a: a, i: i, j: a.index}
 				}
 			}
@@ -144,7 +146,9 @@ func expandFrontWave(pl *Plane, self, other *frontState, sols *[]joint,
 	stats.addWave()
 	for _, a := range self.wave {
 		stats.addActive()
-		before := snapshotCovered(self.search)
+		// The covered map of a's direction before the expansion: the
+		// cells set in it afterwards only are the ones a covered.
+		before := slices.Clone(self.search.ar.covered[a.dir])
 		next = self.search.expand(a, next)
 		recordOwners(pl, self, a, before)
 	}
@@ -183,21 +187,12 @@ func reversePath(segs []Segment) []Segment {
 	return out
 }
 
-// snapshotCovered extracts the current epoch's coverage bits so newly
-// covered cells can be attributed to the expanding active.
-func snapshotCovered(ls *lineSearch) []uint8 {
-	out := make([]uint8, len(ls.ar.covered))
-	for i := range out {
-		out[i] = ls.ar.coveredBits(i)
-	}
-	return out
-}
-
 // recordOwners attributes every cell newly covered by a's expansion to
 // a (replaying the escape lines geometrically), tracking the crossing
 // count along each escape.
-func recordOwners(pl *Plane, f *frontState, a *active, before []uint8) {
+func recordOwners(pl *Plane, f *frontState, a *active, before []uint64) {
 	step := a.step()
+	ar := f.search.ar
 	for i := a.iv.Lo; i <= a.iv.Hi; i++ {
 		j := a.index
 		c := a.cross
@@ -207,10 +202,11 @@ func recordOwners(pl *Plane, f *frontState, a *active, before []uint8) {
 			if !pl.InBounds(p) {
 				break
 			}
-			idx := pl.idx(p)
-			if f.search.ar.coveredBits(idx)&dirBit(a.dir) == 0 || before[idx]&dirBit(a.dir) != 0 {
+			x, y := p.X-pl.Bounds.Min.X, p.Y-pl.Bounds.Min.Y
+			if !ar.coveredIn(ar.covered[a.dir], a.dir, x, y) || ar.coveredIn(before, a.dir, x, y) {
 				break
 			}
+			idx := pl.idx(p)
 			if w := f.search.wireAcross(p, a.dir); w != 0 && w != f.search.net {
 				c++
 			}

@@ -152,18 +152,15 @@ func (st *SearchStats) addCells(n int) {
 	}
 }
 
-func dirBit(d geom.Dir) uint8 { return 1 << uint(d) }
-
-const allDirBits = 0x0f
-
-// newLineSearch prepares one search epoch. A nil arena gets a private
-// one (used by callers without a router, like the dual-front fronts);
-// a shared arena is acquired here, expiring the previous search's marks.
+// newLineSearch prepares one search. A nil arena gets a private one
+// (used by callers without a router, like the dual-front fronts); a
+// shared arena is acquired here, clearing the previous searches' marks
+// inside win.
 func newLineSearch(pl *Plane, net int32, target func(geom.Point) bool, swap bool, win geom.Rect, ar *searchArena) *lineSearch {
 	if ar == nil {
-		ar = newSearchArena(len(pl.blocked))
+		ar = newSearchArena(pl)
 	}
-	ar.acquire()
+	ar.acquire(win)
 	return &lineSearch{
 		pl:       pl,
 		net:      net,
@@ -178,7 +175,7 @@ func newLineSearch(pl *Plane, net int32, target func(geom.Point) bool, swap bool
 
 // setTargets precomputes the target set as arena marks: the given
 // points plus every point of the tree segments. This replaces the
-// per-cell target closure of the hot sweep with one stamped-array load.
+// per-cell target closure of the hot sweep with the target bitboards.
 // It is only valid when the predicate is exactly "a listed point or the
 // net's own laid geometry": the tree segments are the wires the net has
 // laid, so the mark set equals the cells where the plane reports the
@@ -231,7 +228,7 @@ func (s *lineSearch) run(starts []*active) ([]Segment, bool) {
 		for i := a.iv.Lo; i <= a.iv.Hi; i++ {
 			p := a.pt(i, a.index)
 			if s.pl.InBounds(p) {
-				s.ar.markCovered(s.pl.idx(p), allDirBits)
+				s.ar.markStart(s.pl.idx(p))
 			}
 		}
 	}
@@ -292,12 +289,11 @@ func (s *lineSearch) best() solution {
 	return s.sols[0]
 }
 
-// expand implements EXPAND_SEGMENT with a per-cell sweep: every cell of
-// the active segment sends an escape line in the expansion direction
-// until it is stopped by the window edge, an obstacle, a previously
-// searched zone, or the target. The stop profile then yields the
-// perpendicular border segments, appended to out as the next wave
-// (NEW_ACTIVES).
+// expand implements EXPAND_SEGMENT: every cell of the active segment
+// sends an escape line in the expansion direction until it is stopped
+// by the window edge, an obstacle, a previously searched zone, or the
+// target. The stop profile then yields the perpendicular border
+// segments, appended to out as the next wave (NEW_ACTIVES).
 func (s *lineSearch) expand(a *active, out []*active) []*active {
 	step := a.step()
 	n := a.iv.Len()
@@ -312,44 +308,43 @@ func (s *lineSearch) expand(a *active, out []*active) []*active {
 	crossAdv := ar.crossAdv[:0]
 	crossOff := ar.crossOffBuf(n + 1)
 
-	// The escape moves one cell at a time along one axis, so the plane
-	// index advances by a constant and every per-cell plane query reads
-	// the derived stops byte plus the stamped covered word — two loads —
-	// instead of five arrays. The window (a clamped subset of the plane)
-	// is the only geometric guard needed.
+	// Each escape runs along one row (horizontal escape) or one column
+	// (vertical escape) of the bitboards, at plane-local positions: the
+	// escape's cell j sits at position j-org, and its plane index is
+	// base + position*stride. The union of the plane's stop bits, this
+	// direction's covered bits and the target bits marks every cell that
+	// needs a decision; the clean runs between them are swept 64 cells
+	// at a time.
 	vertical := a.dir == geom.Up || a.dir == geom.Down
-	didx := step
 	across := pl.vNet // horizontal escape: crossing wires are vertical
 	alongBit, acrossBit := stopHWire, stopVWire
-	if vertical {
-		didx = step * pl.w
-		across = pl.hNet
-		alongBit, acrossBit = stopVWire, stopHWire
-	}
-	dbit := uint32(dirBit(a.dir))
-	stamp := ar.gen << coveredStampBits
-
-	// During one escape only the expansion-axis coordinate changes, so
-	// the window test reduces to one equality: the escape exits the
-	// window exactly when nj reaches wcut (the first coordinate past the
-	// window edge in the travel direction). The cross-axis coordinate is
-	// inside the window by construction — actives are emitted from swept
-	// (in-window) cells and start cells lie in the window's core bbox.
+	org, lineOrg, stride, lineStride := pl.Bounds.Min.X, pl.Bounds.Min.Y, 1, pl.w
+	stopBB, targetBB, words := pl.stopRow, ar.targetRow, pl.rowWords
 	var wlo, whi int
 	if vertical {
+		across = pl.hNet
+		alongBit, acrossBit = stopVWire, stopHWire
+		org, lineOrg, stride, lineStride = pl.Bounds.Min.Y, pl.Bounds.Min.X, pl.w, 1
+		stopBB, targetBB, words = pl.stopCol, ar.targetCol, pl.colWords
 		wlo, whi = s.win.Min.Y, s.win.Max.Y
 	} else {
 		wlo, whi = s.win.Min.X, s.win.Max.X
 	}
-	wcut := whi + 1
+	coveredBB := ar.covered[a.dir]
+
+	// During one escape only the expansion-axis coordinate changes, so
+	// the window test reduces to one position: the escape exits the
+	// window exactly when it reaches cut (the first position past the
+	// window edge in the travel direction). The cross-axis coordinate is
+	// inside the window by construction — actives are emitted from swept
+	// (in-window) cells and start cells lie in the window's core bbox.
+	cut := whi + 1 - org
 	if step < 0 {
-		wcut = wlo - 1
+		cut = wlo - 1 - org
 	}
 
-	covered := ar.covered
 	stops := pl.stops
 	claim := pl.claim
-	gen := ar.gen
 	marks := s.marks
 	net := s.net
 
@@ -363,80 +358,84 @@ func (s *lineSearch) expand(a *active, out []*active) []*active {
 		crossOff[k] = len(crossAdv)
 		i := a.iv.Lo + k
 		c := a.cross
-		j := a.index
-		idx := pl.idx(a.pt(i, j))
+		li := i - lineOrg
+		lw := li * words
+		stopL, covL, tgtL := stopBB[lw:lw+words], coveredBB[lw:lw+words], targetBB[lw:lw+words]
+		base := li * lineStride
+		pos := a.index - org
 		adv := 0
 		for {
-			nj := j + step
+			// f is the next cell that needs a decision, or cut. With
+			// closure targets (marks false) every cell does.
+			from := pos + step
+			f := from
+			if marks {
+				if step > 0 {
+					f = scanUp(stopL, covL, tgtL, from, cut)
+					setRange(covL, from, f)
+					adv += f - from
+				} else {
+					f = scanDown(stopL, covL, tgtL, from, cut)
+					setRange(covL, f+1, from+1)
+					adv += from - f
+				}
+			}
 			// The window edge stops escapes exactly like an obstacle.
 			// Targets always lie inside the window (they span the bbox
 			// the window was grown from), so no contact is missed. The
 			// edge counts as a clip only when the cell would have been
 			// passable — a boundary coinciding with a natural stop hides
 			// nothing.
-			if nj == wcut {
+			nj := f + org
+			if f == cut {
 				p := a.pt(i, nj)
 				if a.bends < s.clipWave && !s.stopsEscape(p) && s.wireAlong(p, a.dir) == 0 {
 					s.clipWave = a.bends
 				}
 				break
 			}
-			nidx := idx + didx
-			cw := covered[nidx]
-			if cw>>coveredStampBits != gen {
-				cw = stamp
+			var hit bool
+			if marks {
+				hit = testBit(tgtL, f)
+			} else {
+				hit = s.target(a.pt(i, nj))
 			}
-			if uint32(stops[nidx])|(cw&(dbit|targetBit)) != 0 || !marks {
-				// Slow path: some condition bit is set (or targets are a
-				// closure) — decide hit / stop / crossing explicitly.
-				var hit bool
-				if marks {
-					hit = cw&targetBit != 0
-				} else {
-					hit = s.target(a.pt(i, nj))
-				}
-				if hit {
-					segs := pathBack(a, i, nj)
-					s.sols = append(s.sols, solution{
-						a: a, i: i, j: nj,
-						cross:  c,
-						length: totalLen(segs),
-						segs:   segs,
-					})
-					break
-				}
-				m := stops[nidx]
-				if m&(stopBlocked|stopBend) != 0 {
-					break
-				}
-				if m&stopClaim != 0 && claim[nidx] != net {
-					break
-				}
-				// A wire running along the escape axis can never be
-				// shared: nets may cross, not overlap (§5.3). Own-net
-				// wires were already handled by the target test above.
-				if m&alongBit != 0 {
-					break
-				}
-				if cw&dbit != 0 {
-					break
-				}
-				// Perpendicular foreign wire: cross it (cell is passed
-				// but unusable as a turning point).
-				if m&acrossBit != 0 && across[nidx] != net {
-					c++
-					covered[nidx] = cw | dbit
-					adv++
-					crossAdv = append(crossAdv, adv)
-					j = nj
-					idx = nidx
-					continue
-				}
+			if hit {
+				segs := pathBack(a, i, nj)
+				s.sols = append(s.sols, solution{
+					a: a, i: i, j: nj,
+					cross:  c,
+					length: totalLen(segs),
+					segs:   segs,
+				})
+				break
 			}
-			covered[nidx] = cw | dbit
+			nidx := base + f*stride
+			m := stops[nidx]
+			if m&(stopBlocked|stopBend) != 0 {
+				break
+			}
+			if m&stopClaim != 0 && claim[nidx] != net {
+				break
+			}
+			// A wire running along the escape axis can never be shared:
+			// nets may cross, not overlap (§5.3). Own-net wires were
+			// already handled by the target test above.
+			if m&alongBit != 0 {
+				break
+			}
+			if testBit(covL, f) {
+				break
+			}
+			setBit(covL, f)
 			adv++
-			j = nj
-			idx = nidx
+			pos = f
+			// Perpendicular foreign wire: cross it (cell is passed but
+			// unusable as a turning point).
+			if m&acrossBit != 0 && across[nidx] != net {
+				c++
+				crossAdv = append(crossAdv, adv)
+			}
 		}
 		advance[k] = adv
 		swept += adv

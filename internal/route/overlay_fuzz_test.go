@@ -7,12 +7,14 @@ import (
 )
 
 // FuzzPlaneOverlay is the property test of the plane's derived stops
-// overlay (Plane.stops): the expansion engine's hot sweep reads one
-// stops byte per cell instead of the five authoritative arrays, so
-// after an arbitrary stream of the mutations routing performs — claim
-// placement and release, validated LayWire calls, and the raw setters
-// — every cell's stops byte must equal the one recomputed from those
-// arrays.
+// overlays: the stops byte per cell (Plane.stops), which the expansion
+// engine's sweep reads instead of the five authoritative arrays, and
+// the row and column bitboards mirroring stops != 0, which it scans 64
+// cells at a time. After an arbitrary stream of the mutations routing
+// performs — claim placement and release, validated LayWire calls, and
+// the raw setters — every cell's stops byte must equal the one
+// recomputed from those arrays, and its row and column bits must equal
+// stops != 0.
 
 // fuzzOps interprets data as an op stream against pl.
 func fuzzOps(pl *Plane, data []byte) {
@@ -63,9 +65,11 @@ func FuzzPlaneOverlay(f *testing.F) {
 	f.Add(uint8(4), uint8(6), []byte{4, 0, 0, 1, 6, 0, 0, 0, 2, 0, 0, 0})
 	f.Add(uint8(12), uint8(3), []byte{0, 5, 1, 2, 1, 0, 0, 2, 3, 5, 1, 0})
 	f.Add(uint8(1), uint8(1), []byte{3, 0, 0, 3, 0})
+	f.Add(uint8(66), uint8(70), []byte{3, 63, 64, 1, 0, 6, 64, 63, 2, 0, 63, 64, 3, 1, 2, 63, 64, 1})
 	f.Fuzz(func(t *testing.T, w, h uint8, data []byte) {
-		width := int(w%16) + 1
-		height := int(h%16) + 1
+		// Sides up to 80 points, so the bitboards span a word edge.
+		width := int(w%80) + 1
+		height := int(h%80) + 1
 		bounds := geom.Rect{Min: geom.Pt(-1, -2),
 			Max: geom.Pt(-1+width-1, -2+height-1)}
 
@@ -81,10 +85,17 @@ func FuzzPlaneOverlay(f *testing.F) {
 		fuzzOps(pl, data)
 
 		for i, got := range pl.stops {
-			want := got
+			x, y := i%width, i/width
+			want := got != 0
+			if row := testBit(pl.stopRow[y*pl.rowWords:], x); row != want {
+				t.Fatalf("row bit of (%d,%d) is %v, stops byte %05b", x, y, row, got)
+			}
+			if col := testBit(pl.stopCol[x*pl.colWords:], y); col != want {
+				t.Fatalf("column bit of (%d,%d) is %v, stops byte %05b", x, y, col, got)
+			}
 			pl.refreshStops(i)
-			if pl.stops[i] != want {
-				t.Fatalf("stops overlay at index %d is %05b, arrays say %05b", i, want, pl.stops[i])
+			if pl.stops[i] != got {
+				t.Fatalf("stops overlay at index %d is %05b, arrays say %05b", i, got, pl.stops[i])
 			}
 		}
 	})

@@ -99,6 +99,15 @@ type Plane struct {
 	// recomputed on every mutating write, so the hot sweep reads one byte
 	// instead of five arrays; the slow accessors stay authoritative.
 	stops []uint8
+
+	// stopRow and stopCol mirror stops[i] != 0 as bitboards, so the
+	// escape sweep finds the next cell that needs a decision 64 cells at
+	// a time. stopRow is row-major with rowWords words per row (bit x of
+	// row y); stopCol is column-major with colWords words per column
+	// (bit y of column x). Coordinates are plane-local. Every writer of
+	// stops keeps them in step through syncStopBits.
+	stopRow, stopCol   []uint64
+	rowWords, colWords int
 }
 
 // stops bits. stopHWire/stopVWire mean "a wire of some net runs through
@@ -131,6 +140,22 @@ func (pl *Plane) refreshStops(i int) {
 		m |= stopVWire
 	}
 	pl.stops[i] = m
+	pl.syncStopBits(i)
+}
+
+// syncStopBits copies stops[i] != 0 into point i's row and column bits.
+func (pl *Plane) syncStopBits(i int) {
+	x, y := i%pl.w, i/pl.w
+	r := &pl.stopRow[y*pl.rowWords+x>>6]
+	c := &pl.stopCol[x*pl.colWords+y>>6]
+	rb, cb := uint64(1)<<(x&63), uint64(1)<<(y&63)
+	if pl.stops[i] != 0 {
+		*r |= rb
+		*c |= cb
+	} else {
+		*r &^= rb
+		*c &^= cb
+	}
 }
 
 // NewPlane returns an empty plane over the inclusive point region.
@@ -141,18 +166,23 @@ func NewPlane(bounds geom.Rect) *Plane {
 		w, h = 1, 1
 	}
 	n := w * h
+	rowWords, colWords := (w+63)/64, (h+63)/64
 	return &Plane{
-		Bounds:  bounds,
-		w:       w,
-		h:       h,
-		blocked: make([]bool, n),
-		termNet: make([]int32, n),
-		hNet:    make([]int32, n),
-		vNet:    make([]int32, n),
-		bend:    make([]bool, n),
-		claim:   make([]int32, n),
-		claimOf: make(map[int32][]int32),
-		stops:   make([]uint8, n),
+		Bounds:   bounds,
+		w:        w,
+		h:        h,
+		blocked:  make([]bool, n),
+		termNet:  make([]int32, n),
+		hNet:     make([]int32, n),
+		vNet:     make([]int32, n),
+		bend:     make([]bool, n),
+		claim:    make([]int32, n),
+		claimOf:  make(map[int32][]int32),
+		stops:    make([]uint8, n),
+		stopRow:  make([]uint64, h*rowWords),
+		stopCol:  make([]uint64, w*colWords),
+		rowWords: rowWords,
+		colWords: colWords,
 	}
 }
 
@@ -175,6 +205,7 @@ func (pl *Plane) BlockRect(min, max geom.Point) {
 			i := pl.idx(geom.Pt(x, y))
 			pl.blocked[i] = true
 			pl.stops[i] |= stopBlocked
+			pl.syncStopBits(i)
 		}
 	}
 }
@@ -185,6 +216,7 @@ func (pl *Plane) BlockPoint(p geom.Point) {
 		i := pl.idx(p)
 		pl.blocked[i] = true
 		pl.stops[i] |= stopBlocked
+		pl.syncStopBits(i)
 	}
 }
 
@@ -389,6 +421,7 @@ func (pl *Plane) setV(i int, v int32) {
 func (pl *Plane) setBend(i int) {
 	pl.bend[i] = true
 	pl.stops[i] |= stopBend
+	pl.syncStopBits(i)
 }
 
 func (pl *Plane) setClaim(i int, v int32) {

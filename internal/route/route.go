@@ -103,19 +103,6 @@ func ParseOrder(s string) (shortestFirst bool, err error) {
 	}
 }
 
-// ValidateWindow checks a value of the deprecated -route-window flag
-// (and the service's route_window option). The window mode is no
-// longer selectable — searches are always windowed — but malformed
-// values are still rejected so the knob stays input-compatible.
-func ValidateWindow(s string) error {
-	switch s {
-	case "", "on", "off":
-		return nil
-	default:
-		return fmt.Errorf("route: unknown window mode %q (on, off)", s)
-	}
-}
-
 // Algo identifies a routing search engine.
 type Algo int
 
@@ -215,7 +202,7 @@ type router struct {
 // arena returns the router's search arena, creating it on first use.
 func (rt *router) arena() *searchArena {
 	if rt.ar == nil {
-		rt.ar = newSearchArena(len(rt.plane.blocked))
+		rt.ar = newSearchArena(rt.plane)
 	}
 	return rt.ar
 }

@@ -13,9 +13,9 @@ import "netart/internal/geom"
 //     it only bounds the work of the common case, where the minimum
 //     bend path lives near the terminals' bounding box.
 //   - searchArena: the per-router scratch arena the line-expansion
-//     engine draws its wavefront state from. The covered bitmap is
-//     epoch-stamped so "clearing" it between searches is one counter
-//     increment; actives are bump-allocated from slabs; the per-expand
+//     engine draws its wavefront state from. The covered and target
+//     bitboards are cleared per search over the search's window only;
+//     actives are bump-allocated from slabs; the per-expand
 //     advance/crossing buffers and the wavefront slices are reused.
 //     Together these drop the router's per-net allocation cost to near
 //     zero (the seed allocated an O(plane) covered array per search).
@@ -120,26 +120,29 @@ func (rt *router) windows(bbox geom.Rect) []geom.Rect {
 	return out
 }
 
-// coveredStampBits is the number of low bits of a covered word holding
-// the per-cell search state — four direction bits plus the target bit;
-// the rest is the search-epoch stamp.
-const coveredStampBits = 5
-
-// targetBit marks a cell as a member of the search's precomputed target
-// set (lineSearch.setTargets), sharing the covered word so the hot sweep
-// answers "target?" and "already swept?" with a single stamped load.
-const targetBit = 1 << 4
-
 // searchArena is the reusable scratch of the line-expansion engine. One
-// arena serves one router; a search acquires it by bumping the covered
-// epoch, which invalidates every mark of the previous search in O(1).
+// arena serves one router (and so one plane); a search acquires it by
+// clearing the words of its window.
+//
+// The search state lives in bitboards laid out like the plane's stop
+// bitboards (plane-local coordinates): covered[d] marks the cells
+// already swept in direction d, row-major for Left/Right and
+// column-major for Up/Down, so each lies along its direction's travel
+// axis; targetRow and targetCol hold the search's precomputed target
+// set in both layouts.
+//
+// Clearing only the window is enough because no read of a search
+// leaves its window: escapes stop at the window edge, and start cells
+// and targets lie in the window's core box. Marks a wider earlier
+// search left outside the window are therefore never read, and the
+// next search whose window covers them clears them first.
 type searchArena struct {
-	// covered holds, per plane point, gen<<4 | direction bits: a cell
-	// stops an escape only when it was already swept in the same
-	// direction within the same search epoch. Stamps from older epochs
-	// read as "not covered".
-	covered []uint32
-	gen     uint32
+	org                geom.Point // plane Bounds.Min
+	w                  int        // plane width, for index → (x, y)
+	rowWords, colWords int
+
+	covered              [4][]uint64 // indexed by geom.Dir
+	targetRow, targetCol []uint64
 
 	// advance and crossAdv/crossOff are the per-expand escape profile
 	// buffers: advance[k] is how far segment cell k's escape travelled,
@@ -160,54 +163,72 @@ type searchArena struct {
 	waves [2][]*active
 }
 
-func newSearchArena(cells int) *searchArena {
-	return &searchArena{covered: make([]uint32, cells)}
+func newSearchArena(pl *Plane) *searchArena {
+	rowBB := func() []uint64 { return make([]uint64, pl.h*pl.rowWords) }
+	colBB := func() []uint64 { return make([]uint64, pl.w*pl.colWords) }
+	return &searchArena{
+		org: pl.Bounds.Min, w: pl.w, rowWords: pl.rowWords, colWords: pl.colWords,
+		covered:   [4][]uint64{geom.Left: rowBB(), geom.Right: rowBB(), geom.Up: colBB(), geom.Down: colBB()},
+		targetRow: rowBB(),
+		targetCol: colBB(),
+	}
 }
 
-// acquire starts a new search epoch: previous covered marks expire by
-// stamp and the active slab resets. The stamp space (32-4 bits) is
-// cleared for real on the rare wrap.
-func (ar *searchArena) acquire() {
-	ar.gen++
-	if ar.gen >= 1<<(32-coveredStampBits) {
-		clear(ar.covered)
-		ar.gen = 1
+// acquire starts a new search confined to the inclusive window win:
+// it clears every word of the window in the six bitboards and resets
+// the active slab.
+func (ar *searchArena) acquire(win geom.Rect) {
+	x0, x1 := win.Min.X-ar.org.X, win.Max.X-ar.org.X
+	y0, y1 := win.Min.Y-ar.org.Y, win.Max.Y-ar.org.Y
+	for y := y0; y <= y1; y++ {
+		lo, hi := y*ar.rowWords+x0>>6, y*ar.rowWords+x1>>6+1
+		clear(ar.covered[geom.Left][lo:hi])
+		clear(ar.covered[geom.Right][lo:hi])
+		clear(ar.targetRow[lo:hi])
+	}
+	for x := x0; x <= x1; x++ {
+		lo, hi := x*ar.colWords+y0>>6, x*ar.colWords+y1>>6+1
+		clear(ar.covered[geom.Up][lo:hi])
+		clear(ar.covered[geom.Down][lo:hi])
+		clear(ar.targetCol[lo:hi])
 	}
 	ar.blockI, ar.cellI = 0, 0
 }
 
-// markTarget stamps idx as a target of the current epoch. Called before
-// the search sweeps (setTargets), so overwriting the word loses nothing.
+// rowLine and colLine return row y's and column x's words of a row- or
+// column-major bitboard (plane-local coordinates).
+func (ar *searchArena) rowLine(bb []uint64, y int) []uint64 {
+	return bb[y*ar.rowWords : (y+1)*ar.rowWords]
+}
+
+func (ar *searchArena) colLine(bb []uint64, x int) []uint64 {
+	return bb[x*ar.colWords : (x+1)*ar.colWords]
+}
+
+// markTarget adds plane index idx to the search's target set.
 func (ar *searchArena) markTarget(idx int) {
-	w := ar.covered[idx]
-	if w>>coveredStampBits != ar.gen {
-		w = ar.gen << coveredStampBits
-	}
-	ar.covered[idx] = w | targetBit
+	x, y := idx%ar.w, idx/ar.w
+	setBit(ar.rowLine(ar.targetRow, y), x)
+	setBit(ar.colLine(ar.targetCol, x), y)
 }
 
-// isTarget reports whether idx was stamped by markTarget this epoch.
-func (ar *searchArena) isTarget(idx int) bool {
-	w := ar.covered[idx]
-	return w>>coveredStampBits == ar.gen && w&targetBit != 0
+// coveredIn reports whether plane-local (x, y) is set in bb, a
+// direction-d covered bitboard (covered[d] or a copy of it).
+func (ar *searchArena) coveredIn(bb []uint64, d geom.Dir, x, y int) bool {
+	if d.Horizontal() {
+		return testBit(ar.rowLine(bb, y), x)
+	}
+	return testBit(ar.colLine(bb, x), y)
 }
 
-// coveredBits returns the direction mask of the current epoch at idx.
-func (ar *searchArena) coveredBits(idx int) uint8 {
-	w := ar.covered[idx]
-	if w>>coveredStampBits != ar.gen {
-		return 0
-	}
-	return uint8(w) & allDirBits
-}
-
-// markCovered ors direction bits into the current epoch's mask at idx.
-func (ar *searchArena) markCovered(idx int, bits uint8) {
-	w := ar.covered[idx]
-	if w>>coveredStampBits != ar.gen {
-		w = ar.gen << coveredStampBits
-	}
-	ar.covered[idx] = w | uint32(bits)
+// markStart marks plane index idx, a start cell, swept in every
+// direction, so no escape re-enters it.
+func (ar *searchArena) markStart(idx int) {
+	x, y := idx%ar.w, idx/ar.w
+	setBit(ar.rowLine(ar.covered[geom.Left], y), x)
+	setBit(ar.rowLine(ar.covered[geom.Right], y), x)
+	setBit(ar.colLine(ar.covered[geom.Up], x), y)
+	setBit(ar.colLine(ar.covered[geom.Down], x), y)
 }
 
 // newActive bump-allocates an active from the slab.

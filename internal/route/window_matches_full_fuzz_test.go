@@ -12,7 +12,7 @@ import (
 // ladder and the reused search arena. Over an arbitrary obstacle field,
 // several point-to-point nets are routed and laid in sequence twice:
 // once by a windowed router whose single searchArena serves every
-// search (epochs bumped, slabs and buffers reused), and once by a
+// search (window words cleared, slabs and buffers reused), and once by a
 // full-plane router that starts every search on a fresh arena. Both
 // must find the same segments for every net and leave identical
 // planes: windows and arena reuse may change how much is swept, never
@@ -136,4 +136,76 @@ func FuzzWindowedMatchesFull(f *testing.F) {
 				win.stats.Searches, full.stats.Searches)
 		}
 	})
+}
+
+// TestWindowedMatchesFullOddPlane runs the same comparison on a 131×67
+// plane at a negative origin: neither side is a multiple of 64, so the
+// last bitboard word of every row and column is partial, and the walls
+// and nets straddle the word edges at local positions 63/64 and
+// 127/128.
+func TestWindowedMatchesFullOddPlane(t *testing.T) {
+	org := geom.Pt(-3, -5)
+	bounds := geom.Rect{Min: org, Max: org.Add(geom.Pt(130, 66))}
+	at := func(x, y int) geom.Point { return org.Add(geom.Pt(x, y)) }
+	pairs := [][2]geom.Point{
+		{at(2, 2), at(128, 64)},
+		{at(60, 10), at(70, 60)},
+		{at(127, 1), at(1, 65)},
+		{at(62, 33), at(66, 33)},
+		{at(0, 66), at(130, 0)},
+		{at(65, 0), at(63, 66)},
+	}
+	isTerm := func(p geom.Point) bool {
+		for _, pr := range pairs {
+			if p == pr[0] || p == pr[1] {
+				return true
+			}
+		}
+		return false
+	}
+	var blocks []geom.Point
+	wall := func(x0, y0, x1, y1 int) {
+		for y := y0; y <= y1; y++ {
+			for x := x0; x <= x1; x++ {
+				if p := at(x, y); !isTerm(p) {
+					blocks = append(blocks, p)
+				}
+			}
+		}
+	}
+	wall(63, 0, 63, 40) // with the next wall, leaves one gap at y 41..49
+	wall(64, 50, 64, 66)
+	wall(70, 63, 130, 63)
+	wall(127, 5, 127, 60)
+	wall(0, 64, 40, 64)
+	wall(100, 30, 128, 30)
+
+	newRT := func(noWindow bool) *router {
+		pl := NewPlane(bounds)
+		for _, p := range blocks {
+			pl.BlockPoint(p)
+		}
+		return &router{plane: pl, opts: Options{noWindow: noWindow},
+			cancel: newCancelCheck(context.Background()), stats: &SearchStats{}}
+	}
+	win := newRT(false)
+	winOut := fuzzRouteAll(win, pairs, false)
+	full := newRT(true)
+	fullOut := fuzzRouteAll(full, pairs, true)
+	if fmt.Sprint(winOut) != fmt.Sprint(fullOut) {
+		t.Fatalf("windowed outcomes diverge from full-plane:\n  full %v\n  win  %v", fullOut, winOut)
+	}
+	if !win.plane.Equal(full.plane) {
+		t.Fatal("windowed plane diverges from full-plane reference")
+	}
+	routed := 0
+	for _, o := range winOut {
+		if o != "unrouted" {
+			routed++
+		}
+	}
+	if routed < len(pairs)-1 || win.stats.Widened == 0 {
+		t.Fatalf("%d of %d nets routed, %d widenings — the fixture no longer exercises the sweep and the ladder: %v",
+			routed, len(pairs), win.stats.Widened, winOut)
+	}
 }

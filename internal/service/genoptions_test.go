@@ -6,17 +6,6 @@ import (
 	"testing"
 )
 
-// cacheKeyExempt names the GenOptions fields that deliberately do NOT
-// participate in the cache key: the deprecated knobs the server accepts
-// and ignores (deprecated_test.go pins that they change nothing).
-// Adding a field here that does affect the output is a cache-poisoning
-// bug.
-var cacheKeyExempt = map[string]bool{
-	"RouteWorkers": true,
-	"PlaceWorkers": true,
-	"RouteWindow":  true,
-}
-
 // nonDefaultFor returns a valid non-default value for one GenOptions
 // field, chosen so resolve() still accepts the options.
 func nonDefaultFor(t *testing.T, f reflect.StructField, fv reflect.Value) {
@@ -30,8 +19,6 @@ func nonDefaultFor(t *testing.T, f reflect.StructField, fv reflect.Value) {
 		fv.SetString("strict")
 	case "RouteOrder":
 		fv.SetString("design")
-	case "RouteWindow":
-		fv.SetString("off")
 	default:
 		switch fv.Kind() {
 		case reflect.Int:
@@ -46,10 +33,9 @@ func nonDefaultFor(t *testing.T, f reflect.StructField, fv reflect.Value) {
 
 // TestGenOptionsCacheKeyCoverage walks every GenOptions field by
 // reflection: flipping a field to a non-default value must change the
-// canonical cache key unless the field is a declared execution hint —
-// and hints must never leak into the key. A new field added without a
-// canonical() entry (or without an exemption above) fails here, which
-// is exactly the drift this table-of-truth test exists to catch.
+// canonical cache key. A new field added without a canonical() entry
+// fails here, which is exactly the drift this table-of-truth test
+// exists to catch.
 func TestGenOptionsCacheKeyCoverage(t *testing.T) {
 	base := GenOptions{}
 	bopts, err := base.resolve()
@@ -69,11 +55,7 @@ func TestGenOptionsCacheKeyCoverage(t *testing.T) {
 			if err != nil {
 				t.Fatalf("non-default %s rejected by resolve: %v", f.Name, err)
 			}
-			changed := o.canonical(opts.Degrade) != baseKey
-			if cacheKeyExempt[f.Name] && changed {
-				t.Errorf("ignored knob %s leaked into the cache key", f.Name)
-			}
-			if !cacheKeyExempt[f.Name] && !changed {
+			if o.canonical(opts.Degrade) == baseKey {
 				t.Errorf("result-affecting field %s does not participate in the cache key", f.Name)
 			}
 		})
@@ -97,13 +79,10 @@ func TestGenOptionsJSONTagTable(t *testing.T) {
 		"NoClaimpoints":  "no_claimpoints",
 		"SwapObjective":  "swap_objective",
 		"RouteOrder":     "route_order",
-		"RouteWindow":    "route_window",
 		"RipUp":          "rip_up",
 		"DualFront":      "dual_front",
 		"Margin":         "margin",
 		"DegradeMode":    "degrade_mode",
-		"RouteWorkers":   "route_workers",
-		"PlaceWorkers":   "place_workers",
 	}
 	rt := reflect.TypeOf(GenOptions{})
 	if rt.NumField() != len(want) {

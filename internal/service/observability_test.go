@@ -359,3 +359,24 @@ func TestBatchV2(t *testing.T) {
 		t.Errorf("item 1 = %+v, want 400 with error", bad)
 	}
 }
+
+// TestPlaceWorkersMetrics: the speculation and worker-busy metric
+// families went with the parallel placement and routing engines; a
+// served request must not bring them back.
+func TestPlaceWorkersMetrics(t *testing.T) {
+	s := New(Config{Workers: 1, CacheEntries: 0})
+	defer s.Close()
+	if _, err := s.Generate(context.Background(), &Request{Workload: "datapath", Format: "summary"}); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	s.obs.Reg.WritePrometheus(&sb)
+	for _, family := range []string{
+		"netart_route_speculation_total", "netart_route_worker_busy_seconds",
+		"netart_place_speculation_total", "netart_place_worker_busy_seconds",
+	} {
+		if strings.Contains(sb.String(), family) {
+			t.Errorf("deleted metric family %s is still exported", family)
+		}
+	}
+}

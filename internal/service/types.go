@@ -70,26 +70,14 @@ type GenOptions struct {
 	// increasing estimated length, the §7 extension) or "design" (the
 	// paper's order). Replaces the former shortest_first boolean.
 	RouteOrder string `json:"route_order,omitempty"`
-	// RouteWindow is deprecated and ignored: routing searches are
-	// always windowed. "on", "off" and "" are accepted so older
-	// clients keep working; any other value is rejected.
-	RouteWindow string `json:"route_window,omitempty"`
-	RipUp       bool   `json:"rip_up,omitempty"`
-	DualFront   bool   `json:"dual_front,omitempty"`
-	Margin      int    `json:"margin,omitempty"`
+	RipUp      bool   `json:"rip_up,omitempty"`
+	DualFront  bool   `json:"dual_front,omitempty"`
+	Margin     int    `json:"margin,omitempty"`
 
 	// DegradeMode selects the failure policy for incomplete routings:
 	// none, strict, escalate, or best-effort (see gen.DegradeMode).
 	// Empty inherits the server default.
 	DegradeMode string `json:"degrade_mode,omitempty"`
-
-	// RouteWorkers and PlaceWorkers are deprecated and ignored:
-	// placement and routing run sequentially within a request (the
-	// server's worker pool runs requests concurrently). Values >= 0 are
-	// accepted so older clients keep working; negative values are
-	// rejected.
-	RouteWorkers int `json:"route_workers,omitempty"`
-	PlaceWorkers int `json:"place_workers,omitempty"`
 }
 
 // resolve maps the JSON options onto gen.Options, filling defaults.
@@ -113,9 +101,6 @@ func (o GenOptions) resolve() (gen.Options, error) {
 	}
 	var err error
 	if opts.Route.OrderShortestFirst, err = route.ParseOrder(o.RouteOrder); err != nil {
-		return opts, err
-	}
-	if err = route.ValidateWindow(o.RouteWindow); err != nil {
 		return opts, err
 	}
 	if opts.Place.PartSize == 0 {
@@ -153,12 +138,6 @@ func (o GenOptions) resolve() (gen.Options, error) {
 		return opts, err
 	}
 	opts.Degrade = dm
-	if o.RouteWorkers < 0 {
-		return opts, fmt.Errorf("route_workers must be >= 0, got %d", o.RouteWorkers)
-	}
-	if o.PlaceWorkers < 0 {
-		return opts, fmt.Errorf("place_workers must be >= 0, got %d", o.PlaceWorkers)
-	}
 	return opts, nil
 }
 
@@ -167,9 +146,7 @@ func (o GenOptions) resolve() (gen.Options, error) {
 // misses the cache. The degradation policy is passed in resolved form
 // because an empty request field inherits the server default — two
 // requests with different effective policies must never share a cache
-// entry. The deprecated, ignored knobs (RouteWindow, RouteWorkers,
-// PlaceWorkers) are absent, so requests differing only in them share
-// one cache entry.
+// entry.
 func (o GenOptions) canonical(degrade gen.DegradeMode) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "placer=%s part=%d box=%d conn=%d", orDefault(o.Placer, "paper"),
