@@ -104,6 +104,9 @@ echo "== go test -fuzz=FuzzPlaneOverlay -fuzztime=5s ./internal/route"
 go test -run='^$' -fuzz=FuzzPlaneOverlay -fuzztime=5s ./internal/route
 echo "== go test -fuzz=FuzzWindowedMatchesFull -fuzztime=5s ./internal/route"
 go test -run='^$' -fuzz=FuzzWindowedMatchesFull -fuzztime=5s ./internal/route
+# And the final-wave probe against the full-wave reference loop.
+echo "== go test -fuzz=FuzzFinalProbeMatchesFullWave -fuzztime=5s ./internal/route"
+go test -run='^$' -fuzz=FuzzFinalProbeMatchesFullWave -fuzztime=5s ./internal/route
 
 # Allocation guard: the disabled observer / metric paths must stay
 # allocation-free, or every un-traced request pays for observability it

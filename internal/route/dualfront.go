@@ -149,7 +149,7 @@ func expandFrontWave(pl *Plane, self, other *frontState, sols *[]joint,
 		// The covered map of a's direction before the expansion: the
 		// cells set in it afterwards only are the ones a covered.
 		before := slices.Clone(self.search.ar.covered[a.dir])
-		next = self.search.expand(a, next)
+		next, _ = self.search.expand(a, next, sweepExpand)
 		recordOwners(pl, self, a, before)
 	}
 	for _, sol := range self.search.sols {

@@ -1,21 +1,27 @@
 package route
 
-import (
-	"sort"
-
-	"netart/internal/geom"
-)
+import "netart/internal/geom"
 
 // This file implements the line-expansion principle of §5.5/§5.6
 // (after Heyns, Sansen & Beke [7]): whole active segments are expanded
 // perpendicular to their direction; the borders of each expansion zone
 // become the next wave's active segments. Waves are processed in order
 // of their bend count, so the first wave that reaches the target yields
-// a path with the minimum number of bends; scanning the complete wave
-// before committing lets the router pick, among the minimum-bend
-// solutions, the one with the fewest wire crossings and then the
-// smallest wire length (§5.6.1; the -s option of Appendix F swaps the
-// last two criteria).
+// a path with the minimum number of bends; collecting every solution of
+// that wave before committing lets the router pick, among the
+// minimum-bend solutions, the one with the fewest wire crossings and
+// then the smallest wire length (§5.6.1; the -s option of Appendix F
+// swaps the last two criteria).
+//
+// Before a wave is swept, a read-only probe walks only the escapes that
+// have a target ahead on their line and asks whether any of them
+// reaches one. If none does, the wave is swept in full and yields the
+// next wave. If one does, the wave is the final one, and only the
+// escapes with a target ahead are swept, with marking, to collect its
+// solutions. The full sweep would find the same solutions in the same
+// order: an escape with no target ahead covers only cells beyond every
+// target of its line, so it can neither block nor reorder an escape
+// that reaches one (DESIGN §5i).
 
 // active is the ten-tuple of §5.6.2 in struct form: a segment of
 // already-reached cells together with its expansion direction, wave
@@ -128,7 +134,7 @@ type SearchStats struct {
 	Searches int `json:"searches"`  // individual connection searches run
 	Waves    int `json:"waves"`     // wavefronts processed (one per bend level per search)
 	Actives  int `json:"actives"`   // active segments expanded
-	Cells    int `json:"cells"`     // escape-line cells swept
+	Cells    int `json:"cells"`     // escape-line cells swept, the final-wave probe's reads included
 	MaxBends int `json:"max_bends"` // deepest wave that produced a solution
 	RipUps   int `json:"rip_ups"`   // failed nets the rip-up pass attempted to fix
 	Widened  int `json:"widened"`   // search-window widening retries (window.go)
@@ -246,35 +252,56 @@ func (s *lineSearch) run(starts []*active) ([]Segment, bool) {
 			return nil, false // abandoned search: caller checks ctx.Err()
 		}
 		s.stats.addWave()
+		if s.finalWave(wave) {
+			for _, a := range wave {
+				s.stats.addActive()
+				s.expand(a, nil, sweepFinal)
+			}
+			if len(s.sols) == 0 {
+				return nil, false // cancelled mid-sweep
+			}
+			s.solWave = bends
+			if s.stats != nil && bends > s.stats.MaxBends {
+				s.stats.MaxBends = bends
+			}
+			return cleanSegments(s.best().segs), true
+		}
 		// The two wavefront buffers ping-pong out of the arena: next
 		// never aliases wave (starts is the caller's, and consecutive
 		// waves use alternating buffers).
 		next := s.ar.waves[bends&1][:0]
 		for _, a := range wave {
 			s.stats.addActive()
-			next = s.expand(a, next)
+			next, _ = s.expand(a, next, sweepExpand)
 		}
 		s.ar.waves[bends&1] = next[:0]
-		if len(s.sols) > 0 {
-			s.solWave = bends
-			if s.stats != nil && bends > s.stats.MaxBends {
-				s.stats.MaxBends = bends
-			}
-			best := s.best()
-			return cleanSegments(best.segs), true
-		}
 		wave = next
 		bends++
 	}
 	return nil, false
 }
 
+// finalWave is the read-only probe: it reports whether some escape of
+// the wave reaches a target when stopped only by the plane and by the
+// covered marks of earlier waves. That is exactly when the full sweep
+// finds a solution. The sweep's own marks only stop an escape where an
+// earlier escape of the wave already swept on along the same line and
+// direction, and the earliest escape of such a chain reaches the same
+// target.
+func (s *lineSearch) finalWave(wave []*active) bool {
+	for _, a := range wave {
+		if _, hit := s.expand(a, nil, sweepProbe); hit {
+			return true
+		}
+	}
+	return false
+}
+
 // best picks the winning solution of the current wave: minimum
 // crossings then minimum length, or the reverse under -s. Ties resolve
 // to the earliest found, which is deterministic.
 func (s *lineSearch) best() solution {
-	sort.SliceStable(s.sols, func(x, y int) bool {
-		a, b := s.sols[x], s.sols[y]
+	better := func(a, b solution) bool {
 		if s.swap {
 			if a.length != b.length {
 				return a.length < b.length
@@ -285,28 +312,57 @@ func (s *lineSearch) best() solution {
 			return a.cross < b.cross
 		}
 		return a.length < b.length
-	})
-	return s.sols[0]
+	}
+	best := s.sols[0]
+	for _, sol := range s.sols[1:] {
+		if better(sol, best) {
+			best = sol
+		}
+	}
+	return best
 }
+
+// sweepMode selects what expand does with the escapes of an active.
+type sweepMode uint8
+
+const (
+	// sweepExpand sweeps every escape, marking it covered, collects
+	// solutions and returns the zone's borders as new actives.
+	sweepExpand sweepMode = iota
+	// sweepFinal sweeps, with marking, only the escapes that have a
+	// target ahead, and collects their solutions.
+	sweepFinal
+	// sweepProbe walks the escapes that have a target ahead without
+	// marking anything and stops at the first target reached.
+	sweepProbe
+)
 
 // expand implements EXPAND_SEGMENT: every cell of the active segment
 // sends an escape line in the expansion direction until it is stopped
 // by the window edge, an obstacle, a previously searched zone, or the
-// target. The stop profile then yields the perpendicular border
-// segments, appended to out as the next wave (NEW_ACTIVES).
-func (s *lineSearch) expand(a *active, out []*active) []*active {
+// target. In sweepExpand mode the stop profile then yields the
+// perpendicular border segments, appended to out as the next wave
+// (NEW_ACTIVES); the other modes return out unchanged (see sweepMode).
+// The second result, set only by sweepProbe, reports that an escape
+// reached a target.
+func (s *lineSearch) expand(a *active, out []*active, mode sweepMode) ([]*active, bool) {
 	step := a.step()
 	n := a.iv.Len()
 	ar := s.ar
 	pl := s.pl
+	record := mode == sweepExpand
+	mark := mode != sweepProbe
 	// advance[k]: how many cells the escape from segment cell k
 	// travelled. crossAdv flat-stores, per cell, the advance values at
 	// which the escape crossed a foreign wire, in travel order (offsets
 	// in crossOff). Passable cells that are crossings cannot join new
-	// actives.
-	advance := ar.advanceBuf(n)
-	crossAdv := ar.crossAdv[:0]
-	crossOff := ar.crossOffBuf(n + 1)
+	// actives. Only sweepExpand needs this profile.
+	var advance, crossAdv, crossOff []int
+	if record {
+		advance = ar.advanceBuf(n)
+		crossAdv = ar.crossAdv[:0]
+		crossOff = ar.crossOffBuf(n + 1)
+	}
 
 	// Each escape runs along one row (horizontal escape) or one column
 	// (vertical escape) of the bitboards, at plane-local positions: the
@@ -320,12 +376,14 @@ func (s *lineSearch) expand(a *active, out []*active) []*active {
 	alongBit, acrossBit := stopHWire, stopVWire
 	org, lineOrg, stride, lineStride := pl.Bounds.Min.X, pl.Bounds.Min.Y, 1, pl.w
 	stopBB, targetBB, words := pl.stopRow, ar.targetRow, pl.rowWords
+	tgtLo, tgtHi := ar.rowTargetLo, ar.rowTargetHi
 	var wlo, whi int
 	if vertical {
 		across = pl.hNet
 		alongBit, acrossBit = stopVWire, stopHWire
 		org, lineOrg, stride, lineStride = pl.Bounds.Min.Y, pl.Bounds.Min.X, pl.w, 1
 		stopBB, targetBB, words = pl.stopCol, ar.targetCol, pl.colWords
+		tgtLo, tgtHi = ar.colTargetLo, ar.colTargetHi
 		wlo, whi = s.win.Min.Y, s.win.Max.Y
 	} else {
 		wlo, whi = s.win.Min.X, s.win.Max.X
@@ -347,22 +405,33 @@ func (s *lineSearch) expand(a *active, out []*active) []*active {
 	claim := pl.claim
 	marks := s.marks
 	net := s.net
+	start := a.index - org // every escape of a starts at this position
 
 	swept := 0
 	for k := 0; k < n; k++ {
 		if s.cancel.tick() {
-			ar.crossAdv = crossAdv
+			if record {
+				ar.crossAdv = crossAdv
+			}
 			s.stats.addCells(swept)
-			return out // abandoned sweep; run's wave poll ends the search
+			return out, false // abandoned sweep; run's wave poll ends the search
 		}
-		crossOff[k] = len(crossAdv)
 		i := a.iv.Lo + k
-		c := a.cross
 		li := i - lineOrg
+		// Outside sweepExpand only escapes with a target ahead on their
+		// line are walked; with closure targets (marks false) any
+		// escape may have one.
+		if !record && marks && !(step > 0 && int(tgtHi[li]) > start || step < 0 && int(tgtLo[li]) < start) {
+			continue
+		}
+		if record {
+			crossOff[k] = len(crossAdv)
+		}
+		c := a.cross
 		lw := li * words
 		stopL, covL, tgtL := stopBB[lw:lw+words], coveredBB[lw:lw+words], targetBB[lw:lw+words]
 		base := li * lineStride
-		pos := a.index - org
+		pos := start
 		adv := 0
 		for {
 			// f is the next cell that needs a decision, or cut. With
@@ -372,11 +441,15 @@ func (s *lineSearch) expand(a *active, out []*active) []*active {
 			if marks {
 				if step > 0 {
 					f = scanUp(stopL, covL, tgtL, from, cut)
-					setRange(covL, from, f)
+					if mark {
+						setRange(covL, from, f)
+					}
 					adv += f - from
 				} else {
 					f = scanDown(stopL, covL, tgtL, from, cut)
-					setRange(covL, f+1, from+1)
+					if mark {
+						setRange(covL, f+1, from+1)
+					}
 					adv += from - f
 				}
 			}
@@ -389,7 +462,7 @@ func (s *lineSearch) expand(a *active, out []*active) []*active {
 			nj := f + org
 			if f == cut {
 				p := a.pt(i, nj)
-				if a.bends < s.clipWave && !s.stopsEscape(p) && s.wireAlong(p, a.dir) == 0 {
+				if mark && a.bends < s.clipWave && !s.stopsEscape(p) && s.wireAlong(p, a.dir) == 0 {
 					s.clipWave = a.bends
 				}
 				break
@@ -401,6 +474,10 @@ func (s *lineSearch) expand(a *active, out []*active) []*active {
 				hit = s.target(a.pt(i, nj))
 			}
 			if hit {
+				if !mark {
+					s.stats.addCells(swept + adv)
+					return out, true
+				}
 				segs := pathBack(a, i, nj)
 				s.sols = append(s.sols, solution{
 					a: a, i: i, j: nj,
@@ -427,23 +504,32 @@ func (s *lineSearch) expand(a *active, out []*active) []*active {
 			if testBit(covL, f) {
 				break
 			}
-			setBit(covL, f)
+			if mark {
+				setBit(covL, f)
+			}
 			adv++
 			pos = f
 			// Perpendicular foreign wire: cross it (cell is passed but
 			// unusable as a turning point).
 			if m&acrossBit != 0 && across[nidx] != net {
 				c++
-				crossAdv = append(crossAdv, adv)
+				if record {
+					crossAdv = append(crossAdv, adv)
+				}
 			}
 		}
-		advance[k] = adv
+		if record {
+			advance[k] = adv
+		}
 		swept += adv
+	}
+	s.stats.addCells(swept)
+	if !record {
+		return out, false
 	}
 	crossOff[n] = len(crossAdv)
 	ar.crossAdv = crossAdv
-	s.stats.addCells(swept)
-	return s.newActives(a, advance, crossAdv, crossOff, out)
+	return s.newActives(a, advance, crossAdv, crossOff, out), false
 }
 
 // stopsEscape reports whether the escape line must halt before entering

@@ -28,14 +28,14 @@ func TestSearchStatsPinned(t *testing.T) {
 		win, full pin
 	}{
 		{"fig61", workload.Fig61,
-			pin{SearchStats{Searches: 7, Waves: 15, Actives: 87, Cells: 3572, MaxBends: 4, Widened: 1}, 0},
-			pin{SearchStats{Searches: 6, Waves: 11, Actives: 71, Cells: 2923, MaxBends: 4}, 0}},
+			pin{SearchStats{Searches: 7, Waves: 15, Actives: 87, Cells: 2456, MaxBends: 4, Widened: 1}, 0},
+			pin{SearchStats{Searches: 6, Waves: 11, Actives: 71, Cells: 1558, MaxBends: 4}, 0}},
 		{"datapath", workload.Datapath16,
-			pin{SearchStats{Searches: 44, Waves: 108, Actives: 1686, Cells: 78077, MaxBends: 4, Widened: 8}, 0},
-			pin{SearchStats{Searches: 36, Waves: 88, Actives: 1562, Cells: 85270, MaxBends: 4}, 0}},
+			pin{SearchStats{Searches: 44, Waves: 108, Actives: 1686, Cells: 41710, MaxBends: 4, Widened: 8}, 0},
+			pin{SearchStats{Searches: 36, Waves: 88, Actives: 1562, Cells: 36462, MaxBends: 4}, 0}},
 		{"life", workload.Life27,
-			pin{SearchStats{Searches: 443, Waves: 1931, Actives: 332554, Cells: 7253453, MaxBends: 13, Widened: 180}, 10},
-			pin{SearchStats{Searches: 263, Waves: 1415, Actives: 326366, Cells: 7154889, MaxBends: 13}, 10}},
+			pin{SearchStats{Searches: 443, Waves: 1931, Actives: 332554, Cells: 4511480, MaxBends: 13, Widened: 180}, 10},
+			pin{SearchStats{Searches: 263, Waves: 1415, Actives: 326366, Cells: 4236667, MaxBends: 13}, 10}},
 	}
 	po := place.Options{PartSize: 7, BoxSize: 5}
 	for _, tc := range cases {

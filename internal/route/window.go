@@ -1,6 +1,10 @@
 package route
 
-import "netart/internal/geom"
+import (
+	"math"
+
+	"netart/internal/geom"
+)
 
 // This file implements the bounded-work machinery of the routing hot
 // path (DESIGN.md §5i):
@@ -144,6 +148,13 @@ type searchArena struct {
 	covered              [4][]uint64 // indexed by geom.Dir
 	targetRow, targetCol []uint64
 
+	// rowTargetLo/Hi[y] and colTargetLo/Hi[x] are the lowest and highest
+	// plane-local target position on row y and column x (Lo > Hi on a
+	// line without targets): an escape has a target ahead exactly when
+	// its line's extent reaches past its start in the travel direction.
+	rowTargetLo, rowTargetHi []int32
+	colTargetLo, colTargetHi []int32
+
 	// advance and crossAdv/crossOff are the per-expand escape profile
 	// buffers: advance[k] is how far segment cell k's escape travelled,
 	// and crossAdv[crossOff[k]:crossOff[k+1]] lists the advance values
@@ -168,15 +179,18 @@ func newSearchArena(pl *Plane) *searchArena {
 	colBB := func() []uint64 { return make([]uint64, pl.w*pl.colWords) }
 	return &searchArena{
 		org: pl.Bounds.Min, w: pl.w, rowWords: pl.rowWords, colWords: pl.colWords,
-		covered:   [4][]uint64{geom.Left: rowBB(), geom.Right: rowBB(), geom.Up: colBB(), geom.Down: colBB()},
-		targetRow: rowBB(),
-		targetCol: colBB(),
+		covered:     [4][]uint64{geom.Left: rowBB(), geom.Right: rowBB(), geom.Up: colBB(), geom.Down: colBB()},
+		targetRow:   rowBB(),
+		targetCol:   colBB(),
+		rowTargetLo: make([]int32, pl.h), rowTargetHi: make([]int32, pl.h),
+		colTargetLo: make([]int32, pl.w), colTargetHi: make([]int32, pl.w),
 	}
 }
 
 // acquire starts a new search confined to the inclusive window win:
-// it clears every word of the window in the six bitboards and resets
-// the active slab.
+// it clears every word of the window in the six bitboards, empties the
+// target extents of the window's rows and columns and resets the
+// active slab.
 func (ar *searchArena) acquire(win geom.Rect) {
 	x0, x1 := win.Min.X-ar.org.X, win.Max.X-ar.org.X
 	y0, y1 := win.Min.Y-ar.org.Y, win.Max.Y-ar.org.Y
@@ -185,12 +199,14 @@ func (ar *searchArena) acquire(win geom.Rect) {
 		clear(ar.covered[geom.Left][lo:hi])
 		clear(ar.covered[geom.Right][lo:hi])
 		clear(ar.targetRow[lo:hi])
+		ar.rowTargetLo[y], ar.rowTargetHi[y] = math.MaxInt32, -1
 	}
 	for x := x0; x <= x1; x++ {
 		lo, hi := x*ar.colWords+y0>>6, x*ar.colWords+y1>>6+1
 		clear(ar.covered[geom.Up][lo:hi])
 		clear(ar.covered[geom.Down][lo:hi])
 		clear(ar.targetCol[lo:hi])
+		ar.colTargetLo[x], ar.colTargetHi[x] = math.MaxInt32, -1
 	}
 	ar.blockI, ar.cellI = 0, 0
 }
@@ -210,6 +226,10 @@ func (ar *searchArena) markTarget(idx int) {
 	x, y := idx%ar.w, idx/ar.w
 	setBit(ar.rowLine(ar.targetRow, y), x)
 	setBit(ar.colLine(ar.targetCol, x), y)
+	ar.rowTargetLo[y] = min(ar.rowTargetLo[y], int32(x))
+	ar.rowTargetHi[y] = max(ar.rowTargetHi[y], int32(x))
+	ar.colTargetLo[x] = min(ar.colTargetLo[x], int32(y))
+	ar.colTargetHi[x] = max(ar.colTargetHi[x], int32(y))
 }
 
 // coveredIn reports whether plane-local (x, y) is set in bb, a

@@ -243,10 +243,11 @@ func (d *Diagram) WriteSVG(w io.Writer) error {
 	return err
 }
 
-func escapeXML(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
-}
+// xmlEscaper is built once: a strings.Replacer compiles its lookup
+// table on first use, which per call dominated WriteSVG.
+var xmlEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+
+func escapeXML(s string) string { return xmlEscaper.Replace(s) }
 
 // Summary returns a one-line description of the diagram suitable for
 // CLI output and experiment logs.

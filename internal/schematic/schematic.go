@@ -8,6 +8,7 @@ package schematic
 
 import (
 	"fmt"
+	"math"
 
 	"netart/internal/geom"
 	"netart/internal/netlist"
@@ -282,6 +283,8 @@ func (d *Diagram) Verify() error {
 		}
 	}
 
+	interior := d.interiorIndex()
+
 	type occ struct {
 		h, v *netlist.Net
 	}
@@ -295,13 +298,9 @@ func (d *Diagram) Verify() error {
 			for _, p := range s.Points() {
 				// Module interiors are forbidden; outlines only at own
 				// terminals.
-				for _, mod := range d.Design.Modules {
-					r := d.Placement.Mods[mod].Rect()
-					inside := p.X > r.Min.X && p.X < r.Max.X && p.Y > r.Min.Y && p.Y < r.Max.Y
-					if inside {
-						return fmt.Errorf("schematic: net %q enters module %q at %v",
-							rn.Net.Name, mod.Name, p)
-					}
+				if mod := interior.at(p); mod != nil {
+					return fmt.Errorf("schematic: net %q enters module %q at %v",
+						rn.Net.Name, mod.Name, p)
 				}
 				if owner, isTerm := termOwner[p]; isTerm && owner != rn.Net {
 					return fmt.Errorf("schematic: net %q touches terminal of %q at %v",
@@ -368,6 +367,62 @@ func (d *Diagram) Verify() error {
 		if !g.connected(pts) {
 			return fmt.Errorf("schematic: net %q geometry does not connect its terminals", rn.Net.Name)
 		}
+	}
+	return nil
+}
+
+// moduleInteriors maps points to the module whose interior — its
+// rectangle without the outline — contains them, over a dense grid
+// spanning every interior. Where interiors overlap, the module first in
+// design order owns the point, as a scan of the module list would find.
+type moduleInteriors struct {
+	box  geom.Rect // inclusive point bounds of the grid; empty grid when Min > Max
+	w    int
+	mods []*netlist.Module
+	cell []int32 // 1 + index into mods; 0 outside every interior
+}
+
+func (d *Diagram) interiorIndex() *moduleInteriors {
+	// Inclusive interior points per module; a module thinner than three
+	// points has none (Min > Max on that axis).
+	inner := make([]geom.Rect, len(d.Design.Modules))
+	box := geom.Rect{Min: geom.Pt(math.MaxInt, math.MaxInt), Max: geom.Pt(math.MinInt, math.MinInt)}
+	for k, mod := range d.Design.Modules {
+		r := d.Placement.Mods[mod].Rect()
+		in := geom.Rect{Min: geom.Pt(r.Min.X+1, r.Min.Y+1), Max: geom.Pt(r.Max.X-1, r.Max.Y-1)}
+		inner[k] = in
+		if in.Min.X <= in.Max.X && in.Min.Y <= in.Max.Y {
+			box.Min = geom.Pt(min(box.Min.X, in.Min.X), min(box.Min.Y, in.Min.Y))
+			box.Max = geom.Pt(max(box.Max.X, in.Max.X), max(box.Max.Y, in.Max.Y))
+		}
+	}
+	ix := &moduleInteriors{box: box, mods: d.Design.Modules}
+	if box.Min.X > box.Max.X {
+		return ix
+	}
+	ix.w = box.Max.X - box.Min.X + 1
+	ix.cell = make([]int32, ix.w*(box.Max.Y-box.Min.Y+1))
+	for k, in := range inner {
+		for y := in.Min.Y; y <= in.Max.Y; y++ {
+			row := (y-box.Min.Y)*ix.w - box.Min.X
+			for x := in.Min.X; x <= in.Max.X; x++ {
+				if ix.cell[row+x] == 0 {
+					ix.cell[row+x] = int32(k) + 1
+				}
+			}
+		}
+	}
+	return ix
+}
+
+// at returns the module whose interior contains p, or nil.
+func (ix *moduleInteriors) at(p geom.Point) *netlist.Module {
+	b := ix.box
+	if p.X < b.Min.X || p.X > b.Max.X || p.Y < b.Min.Y || p.Y > b.Max.Y {
+		return nil
+	}
+	if k := ix.cell[(p.Y-b.Min.Y)*ix.w+p.X-b.Min.X]; k != 0 {
+		return ix.mods[k-1]
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package schematic
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -262,5 +263,69 @@ func TestSegmentsOf(t *testing.T) {
 	}
 	if segs := FromPlacement(dg.Placement).SegmentsOf("n1"); segs != nil {
 		t.Error("segments from placement-only diagram")
+	}
+}
+
+func TestVerifyCatchesWireInModuleInterior(t *testing.T) {
+	dg := fig61Diagram(t)
+	// A run across the middle row of the first module at least three
+	// points tall and wide, prepended to a routed net: only its
+	// interior points are touched, so the interior check must fire.
+	var mod *netlist.Module
+	var r geom.Rect
+	for _, m := range dg.Design.Modules {
+		if r = dg.Placement.Mods[m].Rect(); r.Dx() >= 2 && r.Dy() >= 2 {
+			mod = m
+			break
+		}
+	}
+	if mod == nil {
+		t.Fatal("fig61 has no module with an interior")
+	}
+	cy := (r.Min.Y + r.Max.Y) / 2
+	run := route.Segment{A: geom.Pt(r.Min.X+1, cy), B: geom.Pt(r.Max.X-1, cy)}
+	var rn *route.RoutedNet
+	for _, n := range dg.Routing.Nets {
+		if len(n.Segments) > 0 {
+			rn = n
+			break
+		}
+	}
+	rn.Segments = append([]route.Segment{run}, rn.Segments...)
+	err := dg.Verify()
+	want := fmt.Sprintf("schematic: net %q enters module %q at %v", rn.Net.Name, mod.Name, run.A)
+	if err == nil || err.Error() != want {
+		t.Fatalf("Verify = %v, want %q", err, want)
+	}
+}
+
+func TestSVGEscapesNames(t *testing.T) {
+	dg := fig61Diagram(t)
+	dg.Design.Modules[0].Name = `m&<0>"`
+	var rn *route.RoutedNet
+	for _, n := range dg.Routing.Nets {
+		if len(n.Segments) > 0 {
+			rn = n
+			break
+		}
+	}
+	rn.Net.Name = `n&<1>"`
+	var sb strings.Builder
+	if err := dg.WriteSVG(&sb); err != nil {
+		t.Fatal(err)
+	}
+	svg := sb.String()
+	for _, want := range []string{
+		`>m&amp;&lt;0&gt;&quot;</text>`,
+		`<title>n&amp;&lt;1&gt;&quot;</title>`,
+	} {
+		if !strings.Contains(svg, want) {
+			t.Errorf("SVG missing escaped name %q", want)
+		}
+	}
+	for _, raw := range []string{`m&<0>"`, `n&<1>"`} {
+		if strings.Contains(svg, raw) {
+			t.Errorf("SVG holds the unescaped name %q", raw)
+		}
 	}
 }
